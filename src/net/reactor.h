@@ -35,7 +35,8 @@ class Reactor {
   Reactor& operator=(Reactor&&) = default;
 
   /// Registers `fd` for `events` (EPOLLIN/EPOLLOUT bits), reported with
-  /// `tag`. A tag of nullptr is reserved for the wakeup channel.
+  /// `tag`. A tag of nullptr is reserved for the wakeup channel. Typed
+  /// FailedPrecondition for an fd epoll cannot watch (a regular file).
   Status Add(int fd, uint32_t events, void* tag);
   /// Changes a registered fd's interest set (0 = keep registered, report
   /// nothing — a paused session).

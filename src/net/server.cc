@@ -42,8 +42,17 @@ struct CollectorServer::Listener : IoHandle {
 struct CollectorServer::Connection : IoHandle {
   explicit Connection(size_t max_frame_bytes)
       : IoHandle(false), decoder(max_frame_bytes) {}
-  Fd fd;
+  /// A socket connection owns its fd and reads and writes it; a stream
+  /// (AddStream) reads `in_fd` and writes `out_fd`, both caller-owned.
+  Fd socket;
+  int in_fd = -1;
+  int out_fd = -1;
+  bool stream = false;
+  /// epoll refused `in_fd` (a regular file): it is read every round.
+  bool polled = false;
   serve::FrameDecoder decoder;
+  /// Last read that returned bytes (the mid-frame deadline's base).
+  Clock::time_point last_read;
   /// Bytes of decoded frames queued but not yet absorbed (backpressure).
   size_t inflight_bytes = 0;
   bool paused = false;
@@ -116,26 +125,13 @@ Result<std::unique_ptr<CollectorServer>> CollectorServer::Make(
     sub.set_sequence_tracker(server->main_.sequence_tracker());
   }
   if (!options.wal_path.empty()) {
-    // Crash recovery happens here, before the first listener exists:
+    // Crash recovery happens here, before the first connection exists:
     // the log's clean prefix replays into the main session (sub-sessions
     // start empty either way), then the writer truncates any torn tail
     // and appends from the recovered offset.
-    serve::CollectorSession* main = &server->main_;
-    serve::WalConsumer consumer;
-    consumer.on_frame = [main](std::string_view frame) {
-      return main->HandleFrame(frame);
-    };
-    consumer.on_checkpoint = [main](const std::vector<std::string>& sketches) {
-      return main->ResetToSketches(sketches);
-    };
-    consumer.on_seq_checkpoint =
-        [main](const std::vector<serve::WalSeqEntry>& entries) {
-          main->sequence_tracker()->Restore(entries);
-          return Status::OK();
-        };
     NUMDIST_ASSIGN_OR_RETURN(
         serve::WalLog log,
-        serve::WalLog::Open(options.wal_path, options.wal, consumer));
+        server->main_.OpenWal(options.wal_path, options.wal));
     server->wal_ = std::make_unique<serve::WalLog>(std::move(log));
     server->wal_recovery_ = server->wal_->recovery();
   }
@@ -222,13 +218,37 @@ Status CollectorServer::HandleAccept(Listener* listener) {
       return Errno("accept4");
     }
     auto conn = std::make_unique<Connection>(options_.max_frame_bytes);
-    conn->fd.reset(cfd);
-    const Status added =
-        reactor_.Add(cfd, EPOLLIN, static_cast<IoHandle*>(conn.get()));
-    if (!added.ok()) return added;
-    ++stats_.connections_accepted;
-    connections_.push_back(std::move(conn));
+    conn->socket.reset(cfd);
+    conn->in_fd = cfd;
+    conn->out_fd = cfd;
+    NUMDIST_RETURN_NOT_OK(AddConnection(std::move(conn)));
   }
+}
+
+Status CollectorServer::AddStream(int in_fd, int out_fd) {
+  auto conn = std::make_unique<Connection>(options_.max_frame_bytes);
+  conn->stream = true;
+  conn->in_fd = in_fd;
+  conn->out_fd = out_fd;
+  return AddConnection(std::move(conn));
+}
+
+Status CollectorServer::AddConnection(std::unique_ptr<Connection> conn) {
+  const Status added =
+      reactor_.Add(conn->in_fd, EPOLLIN, static_cast<IoHandle*>(conn.get()));
+  if (!added.ok()) {
+    // epoll refuses regular files; their reads never block, so a stream
+    // over one is simply read on every round.
+    if (!conn->stream || added.code() != StatusCode::kFailedPrecondition) {
+      return added;
+    }
+    conn->polled = true;
+    polled_.push_back(conn.get());
+  }
+  conn->last_read = Clock::now();
+  ++stats_.connections_accepted;
+  connections_.push_back(std::move(conn));
+  return Status::OK();
 }
 
 void CollectorServer::HandleReadable(Connection* conn) {
@@ -237,7 +257,7 @@ void CollectorServer::HandleReadable(Connection* conn) {
   size_t budget = options_.read_chunk;
   while (budget > 0) {
     const size_t want = std::min(sizeof(buf), budget);
-    const ssize_t got = read(conn->fd.get(), buf, want);
+    const ssize_t got = read(conn->in_fd, buf, want);
     if (got < 0) {
       if (errno == EAGAIN || errno == EWOULDBLOCK) break;
       if (errno == EINTR) continue;
@@ -247,14 +267,17 @@ void CollectorServer::HandleReadable(Connection* conn) {
     if (got == 0) {
       // Peer finished. A clean frame boundary is a completed stream; a
       // mid-frame cut is the typed error, and costs only this connection.
+      // A clean end with frames still queued stays open for their acks:
+      // the next round reads the EOF again.
       const Status end = conn->decoder.AtEnd();
-      if (end.ok()) {
-        CloseConnection(conn);
-      } else {
+      if (!end.ok()) {
         FailConnection(conn, end);
+      } else if (conn->inflight_bytes == 0) {
+        CloseConnection(conn);
       }
       return;
     }
+    if (options_.read_timeout_ms > 0) conn->last_read = Clock::now();
     budget -= static_cast<size_t>(got);
     stats_.bytes_received += static_cast<uint64_t>(got);
     const Status fed =
@@ -271,7 +294,12 @@ void CollectorServer::HandleReadable(Connection* conn) {
                           options_.record_latency ? Clock::now()
                                                   : Clock::time_point()});
     }
-    if (got < static_cast<ssize_t>(want)) break;  // socket drained
+    // A short read drained the fd. A stream epoll watches may be a
+    // blocking pipe, so it is read once per readiness: a second read
+    // could block the loop.
+    if (got < static_cast<ssize_t>(want) || (conn->stream && !conn->polled)) {
+      break;
+    }
   }
   if (!conn->paused && conn->inflight_bytes > options_.pause_bytes) {
     // Backpressure: drop read interest (level-triggered, so nothing is
@@ -284,11 +312,11 @@ void CollectorServer::HandleReadable(Connection* conn) {
 }
 
 void CollectorServer::UpdateInterest(Connection* conn) {
-  if (conn->closed) return;
+  if (conn->closed || conn->polled) return;
   const uint32_t events = (conn->paused ? 0u : static_cast<uint32_t>(EPOLLIN)) |
                           (conn->want_write ? static_cast<uint32_t>(EPOLLOUT)
                                             : 0u);
-  if (!reactor_.Mod(conn->fd.get(), events, static_cast<IoHandle*>(conn))
+  if (!reactor_.Mod(conn->in_fd, events, static_cast<IoHandle*>(conn))
            .ok()) {
     // Un-pausing a dead fd etc.; surfaced by the next read/write instead.
     conn->paused = false;
@@ -297,10 +325,18 @@ void CollectorServer::UpdateInterest(Connection* conn) {
 
 void CollectorServer::FlushConn(Connection* conn) {
   if (conn->closed) return;
+  if (conn->stream) {
+    // Blocking write: the ack sink may be a regular file epoll cannot
+    // watch. A stream that cannot deliver its acks fails.
+    const Status wrote = WriteAll(conn->out_fd, conn->out_buf);
+    conn->out_buf.clear();
+    if (!wrote.ok()) FailConnection(conn, wrote);
+    return;
+  }
   const bool wanted_write = conn->want_write;
   while (conn->out_off < conn->out_buf.size()) {
     const ssize_t wrote =
-        send(conn->fd.get(), conn->out_buf.data() + conn->out_off,
+        send(conn->in_fd, conn->out_buf.data() + conn->out_off,
              conn->out_buf.size() - conn->out_off, MSG_NOSIGNAL);
     if (wrote < 0) {
       if (errno == EINTR) continue;
@@ -328,7 +364,7 @@ void CollectorServer::FlushConn(Connection* conn) {
 }
 
 void CollectorServer::QueueAck(Connection* conn, const wire::FrameSeq& seq) {
-  if (conn->closed) return;
+  if (conn->closed || conn->out_fd < 0) return;
   std::string ack;
   if (!wire::EncodeAckFrame(seq, &ack).ok()) return;  // seq 0 never queues
   serve::AppendFramePrefix(ack.size(), &conn->out_buf);
@@ -372,6 +408,7 @@ void CollectorServer::AbsorbPending() {
                                                          &outcomes[task]);
       });
   const Clock::time_point done = Clock::now();
+  size_t durable = n;
   for (size_t i = 0; i < n; ++i) {
     PendingFrame& pf = pending_[i];
     pf.conn->inflight_bytes -= pf.frame.size();
@@ -388,6 +425,9 @@ void CollectorServer::AbsorbPending() {
                 .count()));
       }
     } else {
+      // A stream's bad frame fails Run, so the durable prefix (below)
+      // ends there: the log holds what a sequential reader accepted.
+      if (pf.conn->stream) durable = std::min(durable, i);
       FailConnection(pf.conn, statuses[i]);
     }
     if (pf.conn->paused && !pf.conn->closed &&
@@ -403,7 +443,6 @@ void CollectorServer::AbsorbPending() {
   // neither forwarded nor acked, so the client retransmits it after the
   // restarted collector replays a log that does not contain it. Acking
   // past the failure would retire frames recovery cannot reproduce.
-  size_t durable = n;
   if (wal_ != nullptr) {
     if (!wal_status_.ok()) {
       durable = 0;
@@ -413,7 +452,7 @@ void CollectorServer::AbsorbPending() {
       // order-independent (exact commutative merges), so the replayed
       // aggregate is byte-identical regardless of batching. Duplicates
       // never reach the log — replay would double-claim their ids.
-      for (size_t i = 0; i < n; ++i) {
+      for (size_t i = 0; i < durable; ++i) {
         if (!statuses[i].ok() || outcomes[i].duplicate) continue;
         const Status appended = wal_->AppendFrame(pending_[i].frame);
         if (!appended.ok()) {
@@ -472,8 +511,12 @@ Status CollectorServer::MaybeCheckpointWal() {
   for (const serve::CollectorSession& sub : sub_sessions_) {
     NUMDIST_RETURN_NOT_OK(scratch.AbsorbSession(sub));
   }
+  return CheckpointWal(scratch);
+}
+
+Status CollectorServer::CheckpointWal(const serve::CollectorSession& state) {
   NUMDIST_ASSIGN_OR_RETURN(const std::vector<std::string> sketches,
-                           scratch.EncodeSketches());
+                           state.EncodeSketches());
   // The dedup window rides along in the checkpoint: after a crash the
   // recovered collector still refuses the retransmits it already acked.
   NUMDIST_RETURN_NOT_OK(
@@ -485,13 +528,14 @@ Status CollectorServer::MaybeCheckpointWal() {
 void CollectorServer::FailConnection(Connection* conn, const Status& error) {
   ++stats_.connection_errors;
   if (stats_.first_error.ok()) stats_.first_error = error;
+  if (conn->stream && stream_status_.ok()) stream_status_ = error;
   CloseConnection(conn);
 }
 
 void CollectorServer::CloseConnection(Connection* conn) {
   if (conn->closed) return;
-  (void)reactor_.Del(conn->fd.get());
-  conn->fd.reset();
+  if (!conn->polled) (void)reactor_.Del(conn->in_fd);
+  conn->socket.reset();
   conn->closed = true;
   conn->paused = false;
   conn->want_write = false;
@@ -511,6 +555,7 @@ void CollectorServer::CloseConnection(Connection* conn) {
 }
 
 void CollectorServer::ReapClosed() {
+  std::erase_if(polled_, [](const Connection* conn) { return conn->closed; });
   // A closed connection may still be referenced by queued frames; it is
   // destroyed only once its in-flight bytes are absorbed.
   std::erase_if(connections_, [](const std::unique_ptr<Connection>& conn) {
@@ -518,11 +563,44 @@ void CollectorServer::ReapClosed() {
   });
 }
 
+void CollectorServer::ExpireStalledReads() {
+  if (options_.read_timeout_ms <= 0) return;
+  const auto timeout = std::chrono::milliseconds(options_.read_timeout_ms);
+  const Clock::time_point now = Clock::now();
+  next_read_deadline_ = Clock::time_point::max();
+  // By index: failing a connection can drain the server, and a drain
+  // accepts the listener backlog into connections_.
+  for (size_t i = 0; i < connections_.size(); ++i) {
+    Connection* conn = connections_[i].get();
+    if (conn->closed || conn->paused || !conn->decoder.mid_frame()) {
+      continue;
+    }
+    const Clock::time_point deadline = conn->last_read + timeout;
+    if (now < deadline) {
+      next_read_deadline_ = std::min(next_read_deadline_, deadline);
+      continue;
+    }
+    // Stalled mid-frame past the deadline: same taxonomy as an EOF at
+    // this position, with the stall called out.
+    FailConnection(conn, Status::OutOfRange(
+                             "framing: read timed out inside a frame after " +
+                             std::to_string(options_.read_timeout_ms) +
+                             " ms (" + conn->decoder.AtEnd().message() + ")"));
+  }
+}
+
 int CollectorServer::WaitTimeoutMs() const {
-  if (inc_ == nullptr || options_.estimate_every_ms <= 0) return -1;
-  const auto remaining = std::chrono::duration_cast<std::chrono::milliseconds>(
-                             next_estimate_at_ - Clock::now())
-                             .count();
+  for (const Connection* conn : polled_) {
+    if (!conn->closed && !conn->paused) return 0;
+  }
+  Clock::time_point wake = next_read_deadline_;
+  if (inc_ != nullptr && options_.estimate_every_ms > 0) {
+    wake = std::min(wake, next_estimate_at_);
+  }
+  if (wake == Clock::time_point::max()) return -1;
+  const auto remaining =
+      std::chrono::ceil<std::chrono::milliseconds>(wake - Clock::now())
+          .count();
   if (remaining <= 0) return 0;
   return static_cast<int>(
       std::min<long long>(remaining, std::numeric_limits<int>::max()));
@@ -610,9 +688,12 @@ Status CollectorServer::Run() {
         }
       }
     }
+    for (Connection* conn : polled_) HandleReadable(conn);
+    ExpireStalledReads();
     AbsorbPending();
     if (!wal_status_.ok()) return wal_status_;
     if (!replica_status_.ok()) return replica_status_;
+    if (!stream_status_.ok()) return stream_status_;
     NUMDIST_RETURN_NOT_OK(MaybeCheckpointWal());
     MaybeEstimate();
     if (options_.expect_frames > 0 &&
@@ -621,15 +702,9 @@ Status CollectorServer::Run() {
     }
   }
   NUMDIST_RETURN_NOT_OK(MergeSubSessions());
-  if (wal_ != nullptr) {
-    // Clean drain: compact down to one checkpoint of the final state, so
-    // a restart replays a single record instead of the whole stream.
-    NUMDIST_ASSIGN_OR_RETURN(const std::vector<std::string> sketches,
-                             main_.EncodeSketches());
-    NUMDIST_RETURN_NOT_OK(
-        wal_->Compact(sketches, main_.sequence_tracker()->Export()));
-    wal_frames_since_checkpoint_ = 0;
-  }
+  // Clean drain: compact down to one checkpoint of the final state, so a
+  // restart replays a single record instead of the whole stream.
+  if (wal_ != nullptr) NUMDIST_RETURN_NOT_OK(CheckpointWal(main_));
   // A clean shutdown ends the replication stream with an orderly EOF, which
   // the standby reads as "primary finished" rather than a failure.
   if (replica_fd_.valid()) replica_fd_.reset();
@@ -665,6 +740,14 @@ Result<std::string> CollectorServer::EncodeSketch() const {
         "net: EncodeSketch before Run completed (sub-aggregates unmerged)");
   }
   return main_.EncodeSketch();
+}
+
+Result<std::vector<std::string>> CollectorServer::EncodeSketches() const {
+  if (!merged_) {
+    return Status::FailedPrecondition(
+        "net: EncodeSketches before Run completed (sub-aggregates unmerged)");
+  }
+  return main_.EncodeSketches();
 }
 
 Result<MethodOutput> CollectorServer::Reconstruct() const {

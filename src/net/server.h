@@ -23,6 +23,15 @@
 // (epoll Mod to 0) and picks it back up once the batch drains — the kernel
 // socket buffer then throttles the sender via TCP flow control.
 //
+// Byte streams: AddStream serves a pipe, a regular file or stdin as one
+// more connection, reading one fd and writing acks to another. epoll
+// refuses regular files, so such a stream is read on every loop round
+// instead of on readiness. A stream's failure (mid-frame EOF, hostile
+// prefix, invalid frame, read timeout) is fatal to Run: a stream is a
+// whole shard, and a partial one must never pass as complete.
+// tools/collector_cli's stdin/--in mode is a server with no listener and
+// one stream.
+//
 // Drain/shutdown: RequestDrain (async-signal-safe — SIGTERM handlers call
 // it directly) closes the listeners, lets every open connection finish its
 // stream to EOF, flushes the in-flight frames, and returns from Run with
@@ -83,6 +92,12 @@ struct ServerOptions {
   /// been absorbed (remaining connections are cut, not drained — the
   /// scripted coordinator-tree stop condition).
   uint64_t expect_frames = 0;
+  /// Read deadline, armed only while a connection is mid-frame and reset
+  /// on every read: a peer that stalls this long inside a frame fails
+  /// with the typed OutOfRange a mid-frame EOF gets, instead of holding
+  /// its partial frame forever. A peer idling between complete frames
+  /// never times out. 0 disables the deadline (and its per-round scan).
+  int read_timeout_ms = 0;
   /// Record per-frame ingest latency (frame fully decoded -> absorbed)
   /// into ServerStats::latency_ns. Bench-only; off in production serving.
   bool record_latency = false;
@@ -145,6 +160,7 @@ struct ServerOptions {
 };
 
 struct ServerStats {
+  /// Connections accepted on a listener or added with AddStream.
   uint64_t connections_accepted = 0;
   uint64_t frames_absorbed = 0;
   uint64_t bytes_received = 0;
@@ -178,10 +194,18 @@ class CollectorServer {
   /// collector can serve TCP and a Unix socket simultaneously.
   Result<Endpoint> AddListener(const Endpoint& endpoint);
 
+  /// Serves the byte stream read from `in_fd` as one more connection;
+  /// acks for its sequenced frames are written to `out_fd` (blocking
+  /// writes; < 0 discards them). The caller keeps both fds open until Run
+  /// returns. The stream ends at EOF on `in_fd`; any stream error makes
+  /// Run return it (see the header comment). Call before Run.
+  Status AddStream(int in_fd, int out_fd);
+
   /// Serves until drain completes: accepts, reads, reassembles, absorbs.
   /// Per-connection errors (hostile frames, mid-stream disconnects) drop
-  /// that connection and are counted in stats(); they do not stop the
-  /// server. Returns non-OK only for reactor/socket-level failures.
+  /// that socket connection and are counted in stats(); they do not stop
+  /// the server. Returns non-OK for reactor/socket-level failures, a
+  /// WAL or replication failure, and the first error of a stream.
   Status Run();
 
   /// Starts a graceful drain: stop accepting, serve open connections to
@@ -211,9 +235,12 @@ class CollectorServer {
   /// The incremental reconstruction state (null unless configured).
   const IncrementalReconstructor* incremental() const { return inc_.get(); }
 
-  /// The aggregate as a wire sketch frame / the reconstructed estimate.
-  /// Valid after Run has returned (sub-session state is merged at drain).
+  /// The aggregate as one untagged wire sketch frame (all tenants
+  /// merged), as lossless per-tenant sketch frames (CollectorSession::
+  /// EncodeSketches), or as the reconstructed estimate. Valid after Run
+  /// has returned (sub-session state is merged at drain).
   Result<std::string> EncodeSketch() const;
+  Result<std::vector<std::string>> EncodeSketches() const;
   Result<MethodOutput> Reconstruct() const;
 
  private:
@@ -226,7 +253,13 @@ class CollectorServer {
 
   void EnterDrain(bool cut_connections);
   Status HandleAccept(Listener* listener);
+  /// Registers a connection for reading: with the reactor, or on the
+  /// every-round list when epoll refuses its fd (a regular file).
+  Status AddConnection(std::unique_ptr<Connection> conn);
   void HandleReadable(Connection* conn);
+  /// Fails every connection stalled mid-frame past read_timeout_ms and
+  /// records the next such deadline (no-op when the deadline is off).
+  void ExpireStalledReads();
   void AbsorbPending();
   /// Queues one ack frame on the source connection (sent after the frame
   /// is locally durable and replicated).
@@ -243,13 +276,17 @@ class CollectorServer {
   /// Compacts the WAL to a checkpoint of the merged live state once the
   /// append cadence is due (no-op without a WAL or cadence).
   Status MaybeCheckpointWal();
+  /// Compacts the WAL to `state` plus the dedup window.
+  Status CheckpointWal(const serve::CollectorSession& state);
   void FailConnection(Connection* conn, const Status& error);
   void CloseConnection(Connection* conn);
   void ReapClosed();
   Status MergeSubSessions();
   /// Runs a live-estimation tick when one is due (frame or time cadence).
   void MaybeEstimate();
-  /// Milliseconds until the next timed tick (-1 = wait forever).
+  /// Milliseconds the reactor may block: 0 while a polled stream is
+  /// readable, else until the next timed tick or read deadline (-1 =
+  /// wait forever).
   int WaitTimeoutMs() const;
 
   serve::CollectorSession main_;
@@ -259,16 +296,22 @@ class CollectorServer {
 
   std::vector<std::unique_ptr<Listener>> listeners_;
   std::vector<std::unique_ptr<Connection>> connections_;
+  /// Open streams epoll refuses (regular files), read every round.
+  std::vector<Connection*> polled_;
+  /// Earliest mid-frame read deadline (max() = none armed).
+  std::chrono::steady_clock::time_point next_read_deadline_ =
+      std::chrono::steady_clock::time_point::max();
+  /// First error of a stream connection; fatal (Run returns it).
+  Status stream_status_ = Status::OK();
   std::vector<PendingFrame> pending_;
   size_t pending_bytes_ = 0;
   /// Per-executor-slot sub-aggregates, merged into main_ at drain.
   std::vector<serve::CollectorSession> sub_sessions_;
   bool merged_ = false;
 
-  /// Durability (null unless ServerOptions::wal_path was set). The server
-  /// owns the log — appends happen from the batch loop in absorption
-  /// order, NOT through main_, whose HandleFrame path must stay silent
-  /// during the drain-time sub-session merge.
+  /// Durability (null unless ServerOptions::wal_path was set). Replayed
+  /// into main_ by CollectorSession::OpenWal; the server owns the log and
+  /// appends from the batch loop in absorption order.
   std::unique_ptr<serve::WalLog> wal_;
   serve::WalReplayStats wal_recovery_;
   uint64_t wal_frames_since_checkpoint_ = 0;

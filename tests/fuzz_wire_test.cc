@@ -367,7 +367,7 @@ TEST(FuzzWire, MutatedWalReplaysToTypedErrorOrPrefix) {
   {
     serve::CollectorSession session =
         serve::CollectorSession::Make(spec).ValueOrDie();
-    EXPECT_TRUE(session.RecoverAndAttachWal(path).ok());
+    serve::WalLog log = session.OpenWal(path).ValueOrDie();
     for (size_t i = 0; i < 3; ++i) {
       Rng rng(ShardSeed(29, i));
       auto chunk = protocol
@@ -381,8 +381,9 @@ TEST(FuzzWire, MutatedWalReplaysToTypedErrorOrPrefix) {
                                           &frame)
                       .ok());
       EXPECT_TRUE(session.HandleFrame(frame).ok());
+      EXPECT_TRUE(log.AppendFrame(frame).ok());
       if (i == 1) {
-        EXPECT_TRUE(session.CompactWal().ok());
+        EXPECT_TRUE(log.Compact(session.EncodeSketches().ValueOrDie()).ok());
       }
     }
   }

@@ -74,6 +74,42 @@ TEST(NetProcessTest, TcpMultiConnectionRunMatchesStdio) {
   std::remove(sketch.c_str());
 }
 
+// Tenant-tagged frames: listen mode emits the same per-tenant sketch
+// frames the stdio pipeline does (one tagged frame per tenant), not one
+// untagged frame merging every tenant.
+TEST(NetProcessTest, TenantSketchesMatchStdioOverTheListener) {
+  const std::string tmp = testing::TempDir();
+  const std::string stdio_sketch = tmp + "net_process_tenant_stdio.sketch";
+  const std::string net_sketch = tmp + "net_process_tenant_net.sketch";
+  const std::string port_file = tmp + "net_process_tenant_port.txt";
+  std::remove(port_file.c_str());
+  const std::string stdio =
+      "'" + Client() + "'" + kCommonFlags + kClientFlags +
+      " --tenant=3 2>/dev/null | '" + Collector() + "'" + kCommonFlags +
+      " --out='" + stdio_sketch + "' 2>/dev/null";
+  ASSERT_EQ(std::system(stdio.c_str()), 0) << stdio;
+  const std::string script =
+      "'" + Collector() + "'" + kCommonFlags + " --listen=tcp:0 --port-file='" +
+      port_file + "' --out='" + net_sketch +
+      "' 2>/dev/null &\n"
+      "pid=$!\n"
+      "for i in $(seq 200); do [ -s '" + port_file +
+      "' ] && break; sleep 0.05; done\n"
+      "[ -s '" + port_file + "' ] || { kill $pid; exit 11; }\n"
+      "'" + Client() + "'" + kCommonFlags + kClientFlags +
+      " --tenant=3 --connect=\"$(cat '" + port_file +
+      "')\" --connections=4 2>/dev/null || exit 9\n"
+      "kill -TERM $pid\n"
+      "wait $pid || exit 10\n";
+  ASSERT_EQ(std::system(script.c_str()), 0) << script;
+  const std::string stdio_bytes = ReadFile(stdio_sketch);
+  ASSERT_FALSE(stdio_bytes.empty());
+  EXPECT_EQ(ReadFile(net_sketch), stdio_bytes);
+  for (const std::string& p : {stdio_sketch, net_sketch, port_file}) {
+    std::remove(p.c_str());
+  }
+}
+
 TEST(NetProcessTest, SigtermMidStreamStillDrainsToByteIdentity) {
   const std::string port_file = testing::TempDir() + "net_process_port2.txt";
   const std::string sketch = testing::TempDir() + "net_process_drain.sketch";

@@ -1,10 +1,12 @@
-// Event-loop transport guarantees (net/*, serve/framing.h FrameDecoder,
-// serve/collector.h ServeFd):
+// Event-loop transport guarantees (net/*, serve/framing.h FrameDecoder):
 //  - the push-mode FrameDecoder accepts/rejects EXACTLY like the pull-mode
 //    ReadFrame for every stream and every adversarial chunking of it,
 //  - WriteFrame emits prefix+body as one stream write,
-//  - ServeFd is byte-compatible with ServeStream and adds a mid-frame
-//    read deadline (idle-between-frames never times out),
+//  - a byte stream served with AddStream (a pipe or a regular file, as
+//    collector_cli's stdin/--in mode) writes acks then sketches that are
+//    byte-identical to a sequential session run, fails whole on a
+//    partial stream, and honors the mid-frame read deadline
+//    (idle-between-frames never times out),
 //  - CollectorServer multiplexes many connections into an aggregate that
 //    is byte-identical to a sequential single-session run for any
 //    connection count, frame distribution, or drain path, applies
@@ -12,10 +14,14 @@
 //    connection.
 #include "net/server.h"
 
+#include <fcntl.h>
 #include <gtest/gtest.h>
 #include <unistd.h>
 
+#include <csignal>
+#include <cstdio>
 #include <filesystem>
+#include <fstream>
 #include <sstream>
 #include <string>
 #include <thread>
@@ -243,62 +249,339 @@ NetFixture MakeNetFixture(size_t num_values, size_t shard_size) {
 }
 
 // ---------------------------------------------------------------------------
-// ServeFd
+// Byte streams (CollectorServer::AddStream)
 
-TEST(ServeFdTest, ByteCompatibleWithServeStream) {
-  const NetFixture fx = MakeNetFixture(4000, 512);
-  const std::string input = EncodeFrames(fx.frames);
+enum class StreamKind { kPipe, kFile };
 
-  auto stream_session = serve::CollectorSession::Make(fx.spec).ValueOrDie();
-  std::stringstream stream_in(input);
-  std::stringstream stream_out;
-  ASSERT_TRUE(
-      serve::ServeStream(stream_in, stream_out, &stream_session).ok());
-
-  auto fd_session = serve::CollectorSession::Make(fx.spec).ValueOrDie();
-  int fds[2];
-  ASSERT_EQ(pipe(fds), 0);
-  std::thread writer([&, wfd = fds[1]] {
-    size_t off = 0;
-    while (off < input.size()) {
-      const ssize_t wrote = write(wfd, input.data() + off, input.size() - off);
-      ASSERT_GT(wrote, 0);
-      off += static_cast<size_t>(wrote);
-    }
-    close(wfd);
-  });
-  std::stringstream fd_out;
-  const Status served = serve::ServeFd(fds[0], fd_out, &fd_session);
-  writer.join();
-  close(fds[0]);
-  ASSERT_TRUE(served.ok()) << served.message();
-  EXPECT_EQ(fd_out.str(), stream_out.str());
-  EXPECT_EQ(fd_session.num_reports(), fx.total_reports);
+const char* KindName(StreamKind kind) {
+  return kind == StreamKind::kPipe ? "pipe" : "regular file";
 }
 
-TEST(ServeFdTest, MidFrameStallHitsTheDeadline) {
+std::string ReadFileBytes(const std::string& path) {
+  std::ifstream in(path, std::ios::binary);
+  return std::string(std::istreambuf_iterator<char>(in),
+                     std::istreambuf_iterator<char>());
+}
+
+struct StreamRun {
+  Status status;
+  /// Everything written to the stream's output: acks while serving, then
+  /// (when Run succeeded) the sketch frames — collector_cli's stdout.
+  std::string out;
+  uint64_t reports = 0;
+};
+
+// Serves `input` as the one stream of a listener-less server, the way
+// collector_cli runs without --listen. A pipe is fed by a writer thread;
+// a regular file is the shape epoll refuses. Output goes to a regular
+// file, like --out.
+StreamRun RunStream(const wire::MethodSpec& spec, const std::string& input,
+                    StreamKind kind, net::ServerOptions options = {}) {
+  std::signal(SIGPIPE, SIG_IGN);  // a failed run closes the pipe early
+  options.drain_on_disconnect = true;
+  auto server = net::CollectorServer::Make(spec, options).ValueOrDie();
+  const std::string out_path = testing::TempDir() + "net_test_stream.out";
+  const int out_fd =
+      open(out_path.c_str(), O_RDWR | O_CREAT | O_TRUNC | O_CLOEXEC, 0600);
+  EXPECT_GE(out_fd, 0);
+  int in_fd = -1;
+  std::thread writer;
+  if (kind == StreamKind::kFile) {
+    const std::string in_path = testing::TempDir() + "net_test_stream.in";
+    std::ofstream(in_path, std::ios::binary | std::ios::trunc) << input;
+    in_fd = open(in_path.c_str(), O_RDONLY | O_CLOEXEC);
+  } else {
+    int fds[2];
+    EXPECT_EQ(pipe(fds), 0);
+    in_fd = fds[0];
+    writer = std::thread([&input, wfd = fds[1]] {
+      // Stops at EPIPE once a failed run closes the read end.
+      (void)net::WriteAll(wfd, input);
+      close(wfd);
+    });
+  }
+  EXPECT_GE(in_fd, 0);
+  StreamRun run;
+  run.status = server->AddStream(in_fd, out_fd);
+  if (run.status.ok()) run.status = server->Run();
+  close(in_fd);
+  if (writer.joinable()) writer.join();
+  if (run.status.ok()) {
+    for (const std::string& sketch : server->EncodeSketches().ValueOrDie()) {
+      std::string framed;
+      serve::AppendFramePrefix(sketch.size(), &framed);
+      framed.append(sketch);
+      EXPECT_TRUE(net::WriteAll(out_fd, framed).ok());
+    }
+    run.reports = server->num_reports();
+  }
+  close(out_fd);
+  run.out = ReadFileBytes(out_path);
+  return run;
+}
+
+constexpr StreamKind kStreamKinds[] = {StreamKind::kPipe, StreamKind::kFile};
+
+TEST(AddStreamTest, ByteCompatibleWithASequentialSession) {
+  const NetFixture fx = MakeNetFixture(4000, 512);
+  for (const StreamKind kind : kStreamKinds) {
+    SCOPED_TRACE(KindName(kind));
+    const StreamRun run = RunStream(fx.spec, EncodeFrames(fx.frames), kind);
+    ASSERT_TRUE(run.status.ok()) << run.status.message();
+    EXPECT_EQ(run.out, EncodeFrames({fx.reference_sketch}));
+    EXPECT_EQ(run.reports, fx.total_reports);
+  }
+}
+
+// A stream carries a whole shard: a partial one fails Run and leaves the
+// output empty, whichever way it is cut.
+TEST(AddStreamTest, PartialOrHostileStreamFailsAndWritesNothing) {
+  const NetFixture fx = MakeNetFixture(1200, 512);
+  const std::string input = EncodeFrames(fx.frames);
+  for (const StreamKind kind : kStreamKinds) {
+    SCOPED_TRACE(KindName(kind));
+    const StreamRun cut = RunStream(fx.spec, input.substr(0, input.size() - 3),
+                                    kind);
+    EXPECT_EQ(cut.status.code(), StatusCode::kOutOfRange)
+        << cut.status.ToString();
+    EXPECT_TRUE(cut.out.empty());
+    const StreamRun hostile =
+        RunStream(fx.spec, EncodeFrames({fx.frames[0]}) + "\xFF\xFF\xFF\xFF",
+                  kind);
+    EXPECT_EQ(hostile.status.code(), StatusCode::kInvalidArgument)
+        << hostile.status.ToString();
+    EXPECT_TRUE(hostile.out.empty());
+    const StreamRun invalid =
+        RunStream(fx.spec, EncodeFrames({fx.frames[0], "not a frame"}), kind);
+    EXPECT_FALSE(invalid.status.ok());
+    EXPECT_TRUE(invalid.out.empty());
+  }
+}
+
+// A stream that breaks on a bad frame leaves the log holding exactly the
+// frames before it, even those that shared its batch with later frames.
+TEST(AddStreamTest, FailedStreamLogsOnlyItsPrefix) {
+  const NetFixture fx = MakeNetFixture(1200, 300);
+  ASSERT_EQ(fx.frames.size(), 4u);
+  const std::string input = EncodeFrames(
+      {fx.frames[0], fx.frames[1], "not a frame", fx.frames[2], fx.frames[3]});
+  const std::string path = testing::TempDir() + "net_stream_prefix.wal";
+  for (const StreamKind kind : kStreamKinds) {
+    SCOPED_TRACE(KindName(kind));
+    std::remove(path.c_str());
+    net::ServerOptions options;
+    options.wal_path = path;
+    const StreamRun run = RunStream(fx.spec, input, kind, options);
+    EXPECT_EQ(run.status.code(), StatusCode::kInvalidArgument)
+        << run.status.ToString();
+    std::vector<std::string> logged;
+    serve::WalConsumer consumer;
+    consumer.on_frame = [&](std::string_view frame) {
+      logged.emplace_back(frame);
+      return Status::OK();
+    };
+    ASSERT_TRUE(serve::ReplayWal(path, consumer).ok());
+    EXPECT_EQ(logged, (std::vector<std::string>{fx.frames[0], fx.frames[1]}));
+  }
+  std::remove(path.c_str());
+}
+
+TEST(AddStreamTest, FullCollectorLifecycle) {
+  const std::vector<double> values = GoldenRatioValues(8000);
+  const auto spec = wire::ParseMethodSpec("cfo-olh-16", 1.0, 64).ValueOrDie();
+  auto protocol = wire::MakeProtocolForSpec(spec).ValueOrDie();
+
+  // Client side: report frames onto the stream.
+  std::vector<std::string> frames;
+  const size_t shard_size = 2048;
+  const size_t num_shards = (values.size() + shard_size - 1) / shard_size;
+  for (size_t i = 0; i < num_shards; ++i) {
+    const size_t begin = i * shard_size;
+    const size_t len = std::min(shard_size, values.size() - begin);
+    Rng rng(ShardSeed(3, i));
+    auto chunk = protocol
+                     ->EncodePerturbBatch(
+                         std::span<const double>(values).subspan(begin, len),
+                         rng)
+                     .ValueOrDie();
+    std::string frame;
+    ASSERT_TRUE(wire::EncodeReportFrame(spec, *protocol, *chunk, &frame).ok());
+    frames.push_back(frame);
+  }
+  ShardOptions opts;
+  opts.shard_size = shard_size;
+  auto reference = RunProtocolSharded(*protocol, values, 3, opts).ValueOrDie();
+
+  for (const StreamKind kind : kStreamKinds) {
+    SCOPED_TRACE(KindName(kind));
+    const StreamRun run = RunStream(spec, EncodeFrames(frames), kind);
+    ASSERT_TRUE(run.status.ok()) << run.status.message();
+    EXPECT_EQ(run.reports, values.size());
+
+    // Coordinator reads the emitted sketch frame and reconstructs.
+    std::stringstream collector_to_coordinator(run.out);
+    std::string sketch;
+    bool eof = false;
+    ASSERT_TRUE(
+        serve::ReadFrame(collector_to_coordinator, &sketch, &eof).ok());
+    ASSERT_FALSE(eof);
+    auto coordinator = serve::CollectorSession::Make(spec).ValueOrDie();
+    ASSERT_TRUE(coordinator.HandleFrame(sketch).ok());
+    EXPECT_EQ(coordinator.Reconstruct().ValueOrDie().distribution,
+              reference.distribution);
+
+    // A truncated stream must error out, not emit a sketch.
+    const StreamRun partial =
+        RunStream(spec, std::string("\x08\x00\x00\x00half", 8), kind);
+    EXPECT_FALSE(partial.status.ok());
+    EXPECT_TRUE(partial.out.empty());
+  }
+}
+
+// The stdio leg of the exactly-once contract: every sequenced frame is
+// acknowledged in arrival order, a duplicate is re-acked without
+// re-absorbing, and the final sketch is byte-identical to a sequence-free
+// run over the same payloads.
+TEST(AddStreamTest, SequencedFramesAreAckedAndDeduplicated) {
+  const auto spec = wire::ParseMethodSpec("sw-ems", 1.0, 32).ValueOrDie();
+  auto protocol = wire::MakeProtocolForSpec(spec).ValueOrDie();
+
+  // Three distinct payload frames; the stamped copies carry epoch 21,
+  // seqs 1..3.
+  std::vector<std::string> plain;
+  for (uint64_t i = 0; i < 3; ++i) {
+    Rng rng(ShardSeed(31, i));
+    auto chunk =
+        protocol->EncodePerturbBatch(GoldenRatioValues(40), rng).ValueOrDie();
+    std::string frame;
+    ASSERT_TRUE(
+        wire::EncodeReportFrame(spec, *protocol, *chunk, &frame).ok());
+    plain.push_back(frame);
+  }
+  std::vector<std::string> stamped = plain;
+  for (size_t i = 0; i < stamped.size(); ++i) {
+    ASSERT_TRUE(wire::StampSequenceContext(&stamped[i],
+                                           {.epoch = 21, .seq = i + 1})
+                    .ok());
+  }
+  auto reference = serve::CollectorSession::Make(spec).ValueOrDie();
+  for (const std::string& frame : plain) {
+    ASSERT_TRUE(reference.HandleFrame(frame).ok());
+  }
+  const std::string reference_sketch = reference.EncodeSketch().ValueOrDie();
+
+  // Seq 2 re-sent mid-stream: the lost-ack retry shape.
+  const std::string input =
+      EncodeFrames({stamped[0], stamped[1], stamped[1], stamped[2]});
+  for (const StreamKind kind : kStreamKinds) {
+    SCOPED_TRACE(KindName(kind));
+    const StreamRun run = RunStream(spec, input, kind);
+    ASSERT_TRUE(run.status.ok()) << run.status.ToString();
+    EXPECT_EQ(run.reports, 120u) << "the duplicate must not absorb";
+
+    // Output: four acks (1, 2, 2 again, 3), then the sketch, then EOF.
+    std::stringstream out(run.out);
+    std::string frame;
+    bool eof = false;
+    for (const uint64_t expected : {1u, 2u, 2u, 3u}) {
+      ASSERT_TRUE(serve::ReadFrame(out, &frame, &eof).ok());
+      ASSERT_FALSE(eof);
+      const auto ack = wire::DecodeAckFrame(frame);
+      ASSERT_TRUE(ack.ok()) << ack.status().ToString();
+      EXPECT_EQ(ack->epoch, 21u);
+      EXPECT_EQ(ack->seq, expected);
+    }
+    ASSERT_TRUE(serve::ReadFrame(out, &frame, &eof).ok());
+    ASSERT_FALSE(eof);
+    EXPECT_EQ(frame, reference_sketch)
+        << "sequencing must not perturb the sketch bytes";
+    ASSERT_TRUE(serve::ReadFrame(out, &frame, &eof).ok());
+    EXPECT_TRUE(eof);
+  }
+}
+
+// A regular file whose size is a whole number of read buffers (64 KiB)
+// reads its EOF in the same round as its last frames; the stream must
+// stay open until their acks are written.
+TEST(AddStreamTest, EofReadWithTheLastFramesStillAcksThem) {
+  const auto spec = wire::ParseMethodSpec("sw-ems", 1.0, 32).ValueOrDie();
+  auto protocol = wire::MakeProtocolForSpec(spec).ValueOrDie();
+  const auto stamped = [&](size_t reports, uint64_t seq) {
+    Rng rng(ShardSeed(41, seq));
+    auto chunk = protocol->EncodePerturbBatch(GoldenRatioValues(reports), rng)
+                     .ValueOrDie();
+    std::string frame;
+    EXPECT_TRUE(
+        wire::EncodeReportFrame(spec, *protocol, *chunk, &frame).ok());
+    EXPECT_TRUE(
+        wire::StampSequenceContext(&frame, {.epoch = 5, .seq = seq}).ok());
+    return frame;
+  };
+  // Frame size is affine in the report count: solve for four frames that
+  // fill exactly 64 KiB with their length prefixes.
+  const size_t step = stamped(2, 1).size() - stamped(1, 1).size();
+  const size_t fixed = 4 + stamped(1, 1).size() - step;
+  const size_t bytes = 64 * 1024;
+  ASSERT_EQ((bytes - 4 * fixed) % step, 0u);
+  const size_t reports = (bytes - 4 * fixed) / step;
+  std::vector<std::string> frames;
+  for (uint64_t seq = 1; seq <= 4; ++seq) {
+    frames.push_back(stamped(seq < 4 ? reports / 4 : reports - 3 * (reports / 4),
+                             seq));
+  }
+  const std::string input = EncodeFrames(frames);
+  ASSERT_EQ(input.size(), bytes);
+
+  const StreamRun run = RunStream(spec, input, StreamKind::kFile);
+  ASSERT_TRUE(run.status.ok()) << run.status.ToString();
+  EXPECT_EQ(run.reports, reports);
+  std::stringstream out(run.out);
+  std::string frame;
+  bool eof = false;
+  for (uint64_t seq = 1; seq <= 4; ++seq) {
+    ASSERT_TRUE(serve::ReadFrame(out, &frame, &eof).ok());
+    ASSERT_FALSE(eof);
+    const auto ack = wire::DecodeAckFrame(frame);
+    ASSERT_TRUE(ack.ok()) << "seq " << seq << ": " << ack.status().ToString();
+    EXPECT_EQ(ack->seq, seq);
+  }
+}
+
+TEST(AddStreamTest, MidFrameStallHitsTheDeadline) {
   const NetFixture fx = MakeNetFixture(600, 512);
   const std::string input = EncodeFrames({fx.frames[0]});
+  net::ServerOptions options;
+  options.read_timeout_ms = 50;
+  options.drain_on_disconnect = true;
+  auto server = net::CollectorServer::Make(fx.spec, options).ValueOrDie();
   int fds[2];
   ASSERT_EQ(pipe(fds), 0);
   // Half a frame, then silence: the deadline must fire as the same typed
   // OutOfRange a mid-frame EOF produces.
   ASSERT_GT(write(fds[1], input.data(), input.size() / 2), 0);
-  auto session = serve::CollectorSession::Make(fx.spec).ValueOrDie();
-  std::stringstream out;
-  serve::ServeFdOptions options;
-  options.read_timeout_ms = 50;
-  const Status st = serve::ServeFd(fds[0], out, &session, options);
+  ASSERT_TRUE(server->AddStream(fds[0], -1).ok());
+  const Status st = server->Run();
   EXPECT_EQ(st.code(), StatusCode::kOutOfRange);
   EXPECT_NE(st.message().find("timed out"), std::string::npos)
       << st.message();
   close(fds[0]);
   close(fds[1]);
+
+  // A regular file cannot stall: the same half frame is a mid-frame EOF.
+  const StreamRun file = RunStream(fx.spec, input.substr(0, input.size() / 2),
+                                   StreamKind::kFile, options);
+  EXPECT_EQ(file.status.code(), StatusCode::kOutOfRange);
+  EXPECT_EQ(file.status.message().find("timed out"), std::string::npos)
+      << file.status.message();
 }
 
-TEST(ServeFdTest, IdleBetweenFramesNeverTimesOut) {
+TEST(AddStreamTest, IdleBetweenFramesNeverTimesOut) {
   const NetFixture fx = MakeNetFixture(600, 600);
   const std::string input = EncodeFrames({fx.frames[0]});
+  net::ServerOptions options;
+  options.read_timeout_ms = 50;
+  options.drain_on_disconnect = true;
+  auto server = net::CollectorServer::Make(fx.spec, options).ValueOrDie();
   int fds[2];
   ASSERT_EQ(pipe(fds), 0);
   std::thread writer([&, wfd = fds[1]] {
@@ -306,19 +589,27 @@ TEST(ServeFdTest, IdleBetweenFramesNeverTimesOut) {
               static_cast<ssize_t>(input.size()));
     // Quiet client, many deadline periods long — legitimate, no timeout.
     usleep(200 * 1000);
-    ASSERT_EQ(write(wfd, input.data(), input.size()),
-              static_cast<ssize_t>(input.size()));
+    // The next frame in two halves: the deadline counts from the latest
+    // read, not from the connection's first.
+    const size_t half = input.size() / 2;
+    ASSERT_EQ(write(wfd, input.data(), half), static_cast<ssize_t>(half));
+    usleep(5 * 1000);
+    ASSERT_EQ(write(wfd, input.data() + half, input.size() - half),
+              static_cast<ssize_t>(input.size() - half));
     close(wfd);
   });
-  auto session = serve::CollectorSession::Make(fx.spec).ValueOrDie();
-  std::stringstream out;
-  serve::ServeFdOptions options;
-  options.read_timeout_ms = 50;
-  const Status st = serve::ServeFd(fds[0], out, &session, options);
+  ASSERT_TRUE(server->AddStream(fds[0], -1).ok());
+  const Status st = server->Run();
   writer.join();
   close(fds[0]);
   ASSERT_TRUE(st.ok()) << st.message();
-  EXPECT_EQ(session.num_reports(), 2 * 600u);
+  EXPECT_EQ(server->num_reports(), 2 * 600u);
+
+  // The armed deadline never fires on a regular file read to its end.
+  const StreamRun file =
+      RunStream(fx.spec, input + input, StreamKind::kFile, options);
+  ASSERT_TRUE(file.status.ok()) << file.status.message();
+  EXPECT_EQ(file.reports, 2 * 600u);
 }
 
 // ---------------------------------------------------------------------------
@@ -465,6 +756,65 @@ TEST(CollectorServerTest, WalFailureNeverAcksNonDurableFrames) {
       << "a non-durable frame's ack reached the client";
 }
 
+// The checkpoint cadence (WalOptions::checkpoint_every_frames) compacts
+// the log while serving: once frame 4's ack is back at a cadence of 2, the
+// log holds a checkpoint and replays to exactly the acked frames.
+TEST(CollectorServerTest, WalCheckpointCadenceCompactsWhileServing) {
+  NetFixture fx = MakeNetFixture(800, 200);
+  ASSERT_EQ(fx.frames.size(), 4u);
+  for (size_t i = 0; i < fx.frames.size(); ++i) {
+    ASSERT_TRUE(wire::StampSequenceContext(&fx.frames[i],
+                                           {.epoch = 3, .seq = i + 1})
+                    .ok());
+  }
+  const std::string path = testing::TempDir() + "net_wal_cadence.wal";
+  std::remove(path.c_str());
+  net::ServerOptions options;
+  options.wal_path = path;
+  options.wal.checkpoint_every_frames = 2;
+  auto server = net::CollectorServer::Make(fx.spec, options).ValueOrDie();
+  const net::Endpoint bound =
+      server->AddListener(net::ParseEndpoint("tcp:0").ValueOrDie())
+          .ValueOrDie();
+  Status run_status;
+  std::thread serving([&] { run_status = server->Run(); });
+  net::Fd client = net::Dial(bound).ValueOrDie();
+  // One frame per round: send, then wait for its ack.
+  for (size_t i = 0; i < fx.frames.size(); ++i) {
+    ASSERT_TRUE(net::WriteAll(client.get(), EncodeFrames({fx.frames[i]})).ok());
+    std::string ack(4 + 24, '\0');
+    size_t got = 0;
+    while (got < ack.size()) {
+      const ssize_t n = read(client.get(), ack.data() + got, ack.size() - got);
+      ASSERT_GT(n, 0) << "connection closed before the ack";
+      got += static_cast<size_t>(n);
+    }
+    const auto decoded = wire::DecodeAckFrame(ack.substr(4));
+    ASSERT_TRUE(decoded.ok()) << decoded.status().ToString();
+    EXPECT_EQ(decoded->seq, i + 1);
+  }
+
+  // Read the log while the server still holds it open.
+  auto replayed = serve::CollectorSession::Make(fx.spec).ValueOrDie();
+  serve::WalConsumer consumer;
+  consumer.on_frame = [&](std::string_view frame) {
+    return replayed.HandleFrame(frame);
+  };
+  consumer.on_checkpoint = [&](const std::vector<std::string>& sketches) {
+    return replayed.ResetToSketches(sketches);
+  };
+  const auto stats = serve::ReplayWal(path, consumer);
+  ASSERT_TRUE(stats.ok()) << stats.status().ToString();
+  EXPECT_GE(stats->checkpoints, 1u);
+  EXPECT_EQ(replayed.EncodeSketch().ValueOrDie(), fx.reference_sketch);
+
+  client.reset();
+  server->RequestDrain();
+  serving.join();
+  ASSERT_TRUE(run_status.ok()) << run_status.message();
+  std::remove(path.c_str());
+}
+
 TEST(CollectorServerTest, HostileClientLosesOnlyItsOwnConnection) {
   const NetFixture fx = MakeNetFixture(2000, 256);
   auto server = net::CollectorServer::Make(fx.spec).ValueOrDie();
@@ -492,6 +842,40 @@ TEST(CollectorServerTest, HostileClientLosesOnlyItsOwnConnection) {
   EXPECT_EQ(server->stats().connection_errors, 1u);
   EXPECT_EQ(server->stats().first_error.code(),
             StatusCode::kInvalidArgument);
+  EXPECT_EQ(server->EncodeSketch().ValueOrDie(), fx.reference_sketch);
+}
+
+// The read deadline on a listener: a client stalled mid-frame loses its
+// connection to the typed timeout; everyone else's frames still land.
+TEST(CollectorServerTest, MidFrameStallLosesOnlyThatConnection) {
+  const NetFixture fx = MakeNetFixture(2000, 256);
+  net::ServerOptions options;
+  options.read_timeout_ms = 50;
+  auto server = net::CollectorServer::Make(fx.spec, options).ValueOrDie();
+  const net::Endpoint bound =
+      server->AddListener(net::ParseEndpoint("tcp:0").ValueOrDie())
+          .ValueOrDie();
+  Status run_status;
+  std::thread serving([&] { run_status = server->Run(); });
+  net::Fd stalled = net::Dial(bound).ValueOrDie();
+  const std::string half = EncodeFrames({fx.frames[0]});
+  ASSERT_TRUE(
+      net::WriteAll(stalled.get(), half.substr(0, half.size() / 2)).ok());
+  {
+    auto sender = net::MultiSender::Make(bound, 2).ValueOrDie();
+    for (const std::string& frame : fx.frames) {
+      EXPECT_TRUE(sender.Send(frame).ok());
+    }
+    EXPECT_TRUE(sender.Finish().ok());
+  }
+  // The drain waits for the stalled connection until its deadline drops it.
+  server->RequestDrain();
+  serving.join();
+  ASSERT_TRUE(run_status.ok()) << run_status.message();
+  EXPECT_EQ(server->stats().connection_errors, 1u);
+  EXPECT_EQ(server->stats().first_error.code(), StatusCode::kOutOfRange);
+  EXPECT_NE(server->stats().first_error.message().find("timed out"),
+            std::string::npos);
   EXPECT_EQ(server->EncodeSketch().ValueOrDie(), fx.reference_sketch);
 }
 

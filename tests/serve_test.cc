@@ -1,16 +1,15 @@
 // Collector service guarantees (serve/collector.h, serve/framing.h):
 // length-prefixed transport framing is strict (clean EOF vs mid-frame EOF
 // vs hostile length prefix), CollectorSession reproduces the in-process
-// sharded aggregate bit-for-bit from report + sketch frames, and
-// ServeStream drives a full collector lifecycle over plain iostreams.
+// sharded aggregate bit-for-bit from report + sketch frames, and the
+// exactly-once window survives the Export/Release race. The full
+// collector lifecycle over a byte stream (CollectorServer::AddStream)
+// lives in tests/net_test.cc.
 #include "serve/collector.h"
 
 #include <gtest/gtest.h>
 
-#include <unistd.h>
-
 #include <cstring>
-#include <filesystem>
 #include <span>
 #include <sstream>
 #include <string>
@@ -318,143 +317,6 @@ TEST(CollectorSessionTest, DefaultTenantBudgetCapsUntaggedFrames) {
   EXPECT_EQ(session.num_reports(), 64u);
 }
 
-TEST(ServeStreamTest, FullCollectorLifecycleOverIostreams) {
-  const std::vector<double> values = TestValues(8000);
-  const auto spec = wire::ParseMethodSpec("cfo-olh-16", 1.0, 64).ValueOrDie();
-  auto protocol = wire::MakeProtocolForSpec(spec).ValueOrDie();
-
-  // Client side: report frames onto the "socket".
-  std::stringstream client_to_collector;
-  const size_t shard_size = 2048;
-  const size_t num_shards = (values.size() + shard_size - 1) / shard_size;
-  for (size_t i = 0; i < num_shards; ++i) {
-    const size_t begin = i * shard_size;
-    const size_t len = std::min(shard_size, values.size() - begin);
-    Rng rng(ShardSeed(3, i));
-    auto chunk = protocol
-                     ->EncodePerturbBatch(
-                         std::span<const double>(values).subspan(begin, len),
-                         rng)
-                     .ValueOrDie();
-    std::string frame;
-    ASSERT_TRUE(wire::EncodeReportFrame(spec, *protocol, *chunk, &frame).ok());
-    ASSERT_TRUE(serve::WriteFrame(client_to_collector, frame).ok());
-  }
-
-  // Collector daemon loop.
-  auto collector = serve::CollectorSession::Make(spec).ValueOrDie();
-  std::stringstream collector_to_coordinator;
-  ASSERT_TRUE(serve::ServeStream(client_to_collector,
-                                 collector_to_coordinator, &collector)
-                  .ok());
-  EXPECT_EQ(collector.num_reports(), values.size());
-
-  // Coordinator reads the emitted sketch frame and reconstructs.
-  std::string sketch;
-  bool eof = false;
-  ASSERT_TRUE(
-      serve::ReadFrame(collector_to_coordinator, &sketch, &eof).ok());
-  ASSERT_FALSE(eof);
-  auto coordinator = serve::CollectorSession::Make(spec).ValueOrDie();
-  ASSERT_TRUE(coordinator.HandleFrame(sketch).ok());
-
-  auto via_stream = coordinator.Reconstruct().ValueOrDie();
-  ShardOptions opts;
-  opts.shard_size = shard_size;
-  auto reference = RunProtocolSharded(*protocol, values, 3, opts).ValueOrDie();
-  EXPECT_EQ(via_stream.distribution, reference.distribution);
-
-  // A truncated stream must error out, not emit a sketch.
-  std::stringstream partial(std::string("\x08\x00\x00\x00half", 8));
-  auto broken = serve::CollectorSession::Make(spec).ValueOrDie();
-  std::stringstream sink;
-  EXPECT_FALSE(serve::ServeStream(partial, sink, &broken).ok());
-  EXPECT_TRUE(sink.str().empty());
-}
-
-// ---------------------------------------------------------------------------
-// ServeFd ack emission (the stdio/socket leg of the exactly-once
-// contract): every sequenced frame is acknowledged in arrival order, a
-// duplicate is re-acked without re-absorbing, and the final sketch is
-// byte-identical to a sequence-free run over the same payloads.
-TEST(ServeFdTest, SequencedFramesAreAckedAndDeduplicated) {
-  const auto spec = wire::ParseMethodSpec("sw-ems", 1.0, 32).ValueOrDie();
-  auto protocol = wire::MakeProtocolForSpec(spec).ValueOrDie();
-
-  // Three distinct payload frames; the stamped copies carry epoch 21,
-  // seqs 1..3.
-  std::vector<std::string> plain;
-  for (uint64_t i = 0; i < 3; ++i) {
-    Rng rng(ShardSeed(31, i));
-    auto chunk =
-        protocol->EncodePerturbBatch(TestValues(40), rng).ValueOrDie();
-    std::string frame;
-    ASSERT_TRUE(
-        wire::EncodeReportFrame(spec, *protocol, *chunk, &frame).ok());
-    plain.push_back(frame);
-  }
-  std::vector<std::string> stamped = plain;
-  for (size_t i = 0; i < stamped.size(); ++i) {
-    ASSERT_TRUE(wire::StampSequenceContext(&stamped[i],
-                                           {.epoch = 21, .seq = i + 1})
-                    .ok());
-  }
-
-  // Reference: the sequence-free ServeStream run.
-  std::string reference_sketch;
-  {
-    std::stringstream in, out;
-    for (const std::string& frame : plain) {
-      ASSERT_TRUE(serve::WriteFrame(in, frame).ok());
-    }
-    auto session = serve::CollectorSession::Make(spec).ValueOrDie();
-    ASSERT_TRUE(serve::ServeStream(in, out, &session).ok());
-    bool eof = false;
-    ASSERT_TRUE(serve::ReadFrame(out, &reference_sketch, &eof).ok());
-  }
-
-  // Sequenced run over a real pipe fd, with seq 2 re-sent mid-stream
-  // (the lost-ack retry shape).
-  int fds[2] = {-1, -1};
-  ASSERT_EQ(pipe(fds), 0);
-  {
-    std::stringstream in;
-    ASSERT_TRUE(serve::WriteFrame(in, stamped[0]).ok());
-    ASSERT_TRUE(serve::WriteFrame(in, stamped[1]).ok());
-    ASSERT_TRUE(serve::WriteFrame(in, stamped[1]).ok());  // duplicate
-    ASSERT_TRUE(serve::WriteFrame(in, stamped[2]).ok());
-    const std::string bytes = in.str();
-    ASSERT_EQ(write(fds[1], bytes.data(), bytes.size()),
-              static_cast<ssize_t>(bytes.size()));
-    close(fds[1]);
-  }
-  auto session = serve::CollectorSession::Make(spec).ValueOrDie();
-  std::stringstream out;
-  const Status served = serve::ServeFd(fds[0], out, &session);
-  close(fds[0]);
-  ASSERT_TRUE(served.ok()) << served.ToString();
-  EXPECT_EQ(session.num_reports(), 120u) << "the duplicate must not absorb";
-
-  // Output: four acks (1, 2, 2 again, 3), then the sketch, then EOF.
-  const uint64_t expected_seqs[] = {1, 2, 2, 3};
-  std::string frame;
-  bool eof = false;
-  for (const uint64_t expected : expected_seqs) {
-    ASSERT_TRUE(serve::ReadFrame(out, &frame, &eof).ok());
-    ASSERT_FALSE(eof);
-    const auto ack = wire::DecodeAckFrame(frame);
-    ASSERT_TRUE(ack.ok()) << ack.status().ToString();
-    EXPECT_EQ(ack->epoch, 21u);
-    EXPECT_EQ(ack->seq, expected);
-  }
-  ASSERT_TRUE(serve::ReadFrame(out, &frame, &eof).ok());
-  ASSERT_FALSE(eof);
-  EXPECT_EQ(frame, reference_sketch)
-      << "sequencing must not perturb the sketch bytes";
-  ASSERT_TRUE(serve::ReadFrame(out, &frame, &eof).ok());
-  EXPECT_TRUE(eof);
-}
-
 // ---------------------------------------------------------------------------
 // SequenceTracker window semantics under the Export/Release race: an
 // Export may fold a claim into the floor while its absorb is still in
@@ -506,51 +368,6 @@ TEST(SequenceTrackerTest, ExportNeverPersistsAReleasedClaimAsAbsorbed) {
   EXPECT_TRUE(restored.Claim(9, 2));
   EXPECT_FALSE(restored.Claim(9, 3));
   EXPECT_FALSE(restored.Claim(9, 1));
-}
-
-// A WAL append failure AFTER the accumulator committed must keep the
-// frame's claim (and ledger charge): the frame IS aggregated in memory,
-// so releasing the claim would let the client's retransmit double-count
-// it. Only pre-commit failures (decode, over-budget) roll the claim back.
-TEST(CollectorSessionTest, WalFailureAfterAbsorbKeepsTheClaim) {
-  const auto spec = wire::ParseMethodSpec("sw-ems", 1.0, 32).ValueOrDie();
-  auto protocol = wire::MakeProtocolForSpec(spec).ValueOrDie();
-  std::vector<std::string> frames;
-  for (uint64_t i = 0; i < 2; ++i) {
-    Rng rng(ShardSeed(47, i));
-    auto chunk =
-        protocol->EncodePerturbBatch(TestValues(40), rng).ValueOrDie();
-    std::string frame;
-    ASSERT_TRUE(
-        wire::EncodeReportFrame(spec, *protocol, *chunk, &frame).ok());
-    ASSERT_TRUE(
-        wire::StampSequenceContext(&frame, {.epoch = 5, .seq = i + 1}).ok());
-    frames.push_back(frame);
-  }
-
-  // Segmented WAL with a tiny segment cap: every append seals the active
-  // segment and rolls to the next, so deleting the directory makes the
-  // next append fail at rotation — AFTER that frame was absorbed.
-  const std::string dir = testing::TempDir() + "serve_wal_fail_claim";
-  std::filesystem::remove_all(dir);
-  auto session = serve::CollectorSession::Make(spec).ValueOrDie();
-  serve::WalOptions wal;
-  wal.segment_bytes = 1;
-  ASSERT_TRUE(session.RecoverAndAttachWal(dir, wal).ok());
-  serve::FrameOutcome outcome;
-  ASSERT_TRUE(session.HandleFrame(frames[0], &outcome).ok());
-  ASSERT_TRUE(outcome.absorbed);
-  ASSERT_EQ(session.num_reports(), 40u);
-
-  std::filesystem::remove_all(dir);
-  const Status failed = session.HandleFrame(frames[1], &outcome);
-  ASSERT_FALSE(failed.ok()) << "the append must fail in the deleted dir";
-  EXPECT_EQ(session.num_reports(), 80u)
-      << "the frame committed before the WAL failure";
-  // The claim survives: the retransmit dedups instead of re-absorbing.
-  ASSERT_TRUE(session.HandleFrame(frames[1], &outcome).ok());
-  EXPECT_TRUE(outcome.duplicate);
-  EXPECT_EQ(session.num_reports(), 80u) << "the retry must not double-count";
 }
 
 }  // namespace

@@ -13,6 +13,7 @@
 #include <cstdio>
 #include <filesystem>
 #include <fstream>
+#include <optional>
 #include <span>
 #include <string>
 #include <vector>
@@ -81,31 +82,55 @@ void WriteFileBytes(const std::string& path, const std::string& bytes) {
   ASSERT_TRUE(out.good()) << path;
 }
 
-// Builds a frame-record-only log (no checkpoint cadence) holding `frames`.
-void BuildLog(const std::string& path, const std::vector<std::string>& frames) {
-  std::remove(path.c_str());
-  serve::CollectorSession session =
-      serve::CollectorSession::Make(TestSpec()).ValueOrDie();
-  auto stats = session.RecoverAndAttachWal(path);
-  ASSERT_TRUE(stats.ok()) << stats.status().ToString();
-  for (const std::string& frame : frames) {
-    const Status st = session.HandleFrame(frame);
-    ASSERT_TRUE(st.ok()) << st.ToString();
-  }
-}
-
-// Replays a log into a fresh session; returns the session + stats.
-struct ReplayedSession {
+// A session and its log, split the way net::CollectorServer splits them:
+// the session replays the log (CollectorSession::OpenWal), the owner
+// appends accepted frames and compacts.
+struct LoggedSession {
   serve::CollectorSession session;
+  std::optional<serve::WalLog> log;  // empty when the replay failed
   serve::WalReplayStats stats;
 };
-ReplayedSession Replay(const std::string& path) {
-  serve::CollectorSession session =
-      serve::CollectorSession::Make(TestSpec()).ValueOrDie();
-  auto stats = session.RecoverAndAttachWal(path);
-  EXPECT_TRUE(stats.ok()) << stats.status().ToString();
-  return {std::move(session),
-          stats.ok() ? stats.value() : serve::WalReplayStats{}};
+
+// Replays the log at `path` into a fresh session and keeps it open.
+LoggedSession OpenLogged(const std::string& path,
+                         const serve::WalOptions& options = {}) {
+  LoggedSession logged{serve::CollectorSession::Make(TestSpec()).ValueOrDie(),
+                       std::nullopt, {}};
+  Result<serve::WalLog> log = logged.session.OpenWal(path, options);
+  EXPECT_TRUE(log.ok()) << log.status().ToString();
+  if (log.ok()) {
+    logged.stats = log->recovery();
+    logged.log.emplace(std::move(log).ValueOrDie());
+  }
+  return logged;
+}
+
+// Absorbs one frame and logs it once accepted (duplicates never reach the
+// log), as the server's batch loop does.
+Status Ingest(LoggedSession* logged, const std::string& frame,
+              serve::FrameOutcome* outcome = nullptr) {
+  serve::FrameOutcome local;
+  if (outcome == nullptr) outcome = &local;
+  NUMDIST_RETURN_NOT_OK(logged->session.HandleFrame(frame, outcome));
+  return outcome->absorbed ? logged->log->AppendFrame(frame) : Status::OK();
+}
+
+// Compacts the log to the session's state plus its dedup window.
+Status Compact(LoggedSession* logged) {
+  NUMDIST_ASSIGN_OR_RETURN(const std::vector<std::string> sketches,
+                           logged->session.EncodeSketches());
+  return logged->log->Compact(sketches,
+                              logged->session.sequence_tracker()->Export());
+}
+
+// Builds a frame-record-only log (no checkpoints) holding `frames`.
+void BuildLog(const std::string& path, const std::vector<std::string>& frames) {
+  std::remove(path.c_str());
+  LoggedSession logged = OpenLogged(path);
+  for (const std::string& frame : frames) {
+    const Status st = Ingest(&logged, frame);
+    ASSERT_TRUE(st.ok()) << st.ToString();
+  }
 }
 
 // The headline sweep: truncate the log at EVERY byte length and replay.
@@ -138,7 +163,7 @@ TEST(WalTest, EveryByteTruncationYieldsAPrefixState) {
   std::vector<bool> prefix_reached(frames.size() + 1, false);
   for (size_t len = 0; len <= log_bytes.size(); ++len) {
     WriteFileBytes(cut_path, log_bytes.substr(0, len));
-    ReplayedSession replayed = Replay(cut_path);
+    LoggedSession replayed = OpenLogged(cut_path);
     ASSERT_LE(replayed.stats.frames, frames.size()) << "cut at " << len;
     ASSERT_EQ(replayed.stats.checkpoints, 0u) << "cut at " << len;
     prefix_reached[replayed.stats.frames] = true;
@@ -176,12 +201,12 @@ TEST(WalTest, TornTailIsTruncatedBeforeNewAppends) {
   // Cut inside the final record.
   WriteFileBytes(path, bytes.substr(0, bytes.size() - 3));
 
-  ReplayedSession replayed = Replay(path);
+  LoggedSession replayed = OpenLogged(path);
   EXPECT_EQ(replayed.stats.frames, 2u);
   EXPECT_EQ(replayed.stats.tail.code(), StatusCode::kOutOfRange);
-  ASSERT_TRUE(replayed.session.HandleFrame(frames[3]).ok());
+  ASSERT_TRUE(Ingest(&replayed, frames[3]).ok());
 
-  ReplayedSession again = Replay(path);
+  LoggedSession again = OpenLogged(path);
   EXPECT_EQ(again.stats.frames, 3u);
   EXPECT_TRUE(again.stats.tail.ok()) << again.stats.tail.ToString();
   serve::CollectorSession expect =
@@ -203,7 +228,7 @@ TEST(WalTest, CorruptRecordIsATypedTornTail) {
   bytes[bytes.size() - 1] ^= 0x40;  // inside the last record's body
   WriteFileBytes(path, bytes);
 
-  ReplayedSession replayed = Replay(path);
+  LoggedSession replayed = OpenLogged(path);
   EXPECT_EQ(replayed.stats.frames, 2u);
   EXPECT_EQ(replayed.stats.tail.code(), StatusCode::kOutOfRange);
   EXPECT_NE(replayed.stats.tail.message().find("torn tail"),
@@ -224,7 +249,7 @@ TEST(WalTest, ZeroFilledTailIsATypedTornTail) {
   bytes.append(64, '\0');
   WriteFileBytes(path, bytes);
 
-  ReplayedSession replayed = Replay(path);
+  LoggedSession replayed = OpenLogged(path);
   EXPECT_EQ(replayed.stats.frames, 2u);
   EXPECT_EQ(replayed.stats.clean_bytes, clean);
   EXPECT_EQ(replayed.stats.tail.code(), StatusCode::kOutOfRange);
@@ -259,8 +284,8 @@ TEST(WalTest, MissingFileIsAnEmptyLog) {
   EXPECT_TRUE(stats.value().tail.ok());
 }
 
-// Compaction (checkpoint + truncate) replays to the identical state, and
-// the periodic cadence compacts mid-stream without perturbing anything.
+// Compaction (checkpoint + truncate) replays to the identical state, also
+// when repeated mid-stream.
 TEST(WalTest, CheckpointCompactionPreservesState) {
   const wire::MethodSpec spec = TestSpec();
   const std::vector<std::string> frames =
@@ -272,18 +297,17 @@ TEST(WalTest, CheckpointCompactionPreservesState) {
 
   BuildLog(plain_path, frames);
 
-  // Same frames through a log that compacts every 2 frames.
-  serve::CollectorSession compacting =
-      serve::CollectorSession::Make(spec).ValueOrDie();
-  serve::WalOptions options;
-  options.checkpoint_every_frames = 2;
-  ASSERT_TRUE(compacting.RecoverAndAttachWal(compact_path, options).ok());
-  for (const std::string& frame : frames) {
-    ASSERT_TRUE(compacting.HandleFrame(frame).ok());
+  // Same frames through a log compacted after every 2 frames.
+  LoggedSession compacting = OpenLogged(compact_path);
+  for (size_t i = 0; i < frames.size(); ++i) {
+    ASSERT_TRUE(Ingest(&compacting, frames[i]).ok());
+    if (i % 2 == 1) {
+      ASSERT_TRUE(Compact(&compacting).ok());
+    }
   }
 
-  ReplayedSession from_plain = Replay(plain_path);
-  ReplayedSession from_compact = Replay(compact_path);
+  LoggedSession from_plain = OpenLogged(plain_path);
+  LoggedSession from_compact = OpenLogged(compact_path);
   EXPECT_EQ(from_plain.stats.frames, frames.size());
   EXPECT_GE(from_compact.stats.checkpoints, 1u);
   EXPECT_LT(from_compact.stats.frames, frames.size());
@@ -291,9 +315,9 @@ TEST(WalTest, CheckpointCompactionPreservesState) {
                         from_compact.session.ExportState()));
   // And both equal the live sessions' state and sketch bytes.
   EXPECT_TRUE(SameState(from_compact.session.ExportState(),
-                        compacting.ExportState()));
+                        compacting.session.ExportState()));
   EXPECT_EQ(from_plain.session.EncodeSketch().ValueOrDie(),
-            compacting.EncodeSketch().ValueOrDie());
+            compacting.session.EncodeSketch().ValueOrDie());
   // The compacted log is the smaller one (6 frame records vs a
   // checkpoint plus at most 1 trailing frame).
   EXPECT_LT(ReadFileBytes(compact_path).size(),
@@ -313,8 +337,8 @@ TEST(WalTest, ReplayIsDeterministicAcrossSeeds) {
         TempPath("wal_seed_" + std::to_string(seed) + ".wal");
     BuildLog(path, frames);
 
-    ReplayedSession a = Replay(path);
-    ReplayedSession b = Replay(path);
+    LoggedSession a = OpenLogged(path);
+    LoggedSession b = OpenLogged(path);
     EXPECT_EQ(a.stats.frames, frames.size()) << "seed " << seed;
     EXPECT_EQ(a.stats.frames, b.stats.frames) << "seed " << seed;
     EXPECT_EQ(a.stats.clean_bytes, b.stats.clean_bytes) << "seed " << seed;
@@ -340,35 +364,33 @@ TEST(WalTest, TenantRoutingSurvivesReplayAndCompaction) {
 
   const std::string path = TempPath("wal_tenants.wal");
   std::remove(path.c_str());
-  serve::CollectorSession live =
-      serve::CollectorSession::Make(spec).ValueOrDie();
-  ASSERT_TRUE(live.RecoverAndAttachWal(path).ok());
+  LoggedSession live = OpenLogged(path);
   for (const auto* frames : {&def_frames, &t5_frames, &t9_frames}) {
     for (const std::string& frame : *frames) {
-      ASSERT_TRUE(live.HandleFrame(frame).ok());
+      ASSERT_TRUE(Ingest(&live, frame).ok());
     }
   }
 
-  ReplayedSession replayed = Replay(path);
+  LoggedSession replayed = OpenLogged(path);
   EXPECT_EQ(replayed.session.TenantIds(), (std::vector<uint32_t>{5, 9}));
   for (const uint32_t tenant : {wire::kDefaultTenant, 5u, 9u}) {
     EXPECT_TRUE(SameState(
         replayed.session.ExportTenantState(tenant).ValueOrDie(),
-        live.ExportTenantState(tenant).ValueOrDie()))
+        live.session.ExportTenantState(tenant).ValueOrDie()))
         << "tenant " << tenant;
   }
   EXPECT_EQ(replayed.session.EncodeSketches().ValueOrDie(),
-            live.EncodeSketches().ValueOrDie());
+            live.session.EncodeSketches().ValueOrDie());
 
   // Compact (checkpoint currency = per-tenant sketches) and replay again.
-  ASSERT_TRUE(replayed.session.CompactWal().ok());
-  ReplayedSession after_compact = Replay(path);
+  ASSERT_TRUE(Compact(&replayed).ok());
+  LoggedSession after_compact = OpenLogged(path);
   EXPECT_EQ(after_compact.stats.checkpoints, 1u);
   EXPECT_EQ(after_compact.stats.frames, 0u);
   EXPECT_EQ(after_compact.session.TenantIds(),
             (std::vector<uint32_t>{5, 9}));
   EXPECT_EQ(after_compact.session.EncodeSketches().ValueOrDie(),
-            live.EncodeSketches().ValueOrDie());
+            live.session.EncodeSketches().ValueOrDie());
   std::remove(path.c_str());
 }
 
@@ -384,14 +406,16 @@ TEST(WalTest, BudgetsAreRestoredByReplay) {
   serve::CollectorSession live =
       serve::CollectorSession::Make(spec).ValueOrDie();
   live.SetTenantBudget(3, {.max_reports = 40});
-  ASSERT_TRUE(live.RecoverAndAttachWal(path).ok());
-  ASSERT_TRUE(live.HandleFrame(frames[0]).ok());
-  ASSERT_TRUE(live.HandleFrame(frames[1]).ok());
+  serve::WalLog log = live.OpenWal(path).ValueOrDie();
+  for (const std::string& frame : frames) {
+    ASSERT_TRUE(live.HandleFrame(frame).ok());
+    ASSERT_TRUE(log.AppendFrame(frame).ok());
+  }
 
   serve::CollectorSession restarted =
       serve::CollectorSession::Make(spec).ValueOrDie();
   restarted.SetTenantBudget(3, {.max_reports = 40});
-  ASSERT_TRUE(restarted.RecoverAndAttachWal(path).ok());
+  ASSERT_TRUE(restarted.OpenWal(path).ok());
   EXPECT_EQ(restarted.ledger()->spent_reports(3), 40u);
   const std::vector<std::string> more = MakeReportFrames(
       spec, /*shards=*/1, /*shard_size=*/20, /*seed=*/6, /*tenant=*/3);
@@ -428,16 +452,13 @@ constexpr uint64_t kTestSegmentBytes = 1024;
 // Builds a segmented frame-only log and returns the live session's state.
 AccumulatorState BuildSegmentedLog(const std::string& dir,
                                    const std::vector<std::string>& frames) {
-  serve::CollectorSession session =
-      serve::CollectorSession::Make(TestSpec()).ValueOrDie();
-  auto stats = session.RecoverAndAttachWal(
-      dir, {.segment_bytes = kTestSegmentBytes});
-  EXPECT_TRUE(stats.ok()) << stats.status().ToString();
+  LoggedSession logged =
+      OpenLogged(dir, {.segment_bytes = kTestSegmentBytes});
   for (const std::string& frame : frames) {
-    const Status st = session.HandleFrame(frame);
+    const Status st = Ingest(&logged, frame);
     EXPECT_TRUE(st.ok()) << st.ToString();
   }
-  return session.ExportState();
+  return logged.session.ExportState();
 }
 
 TEST(WalSegmentTest, RotationReplaysAcrossAContiguousSegmentRun) {
@@ -457,15 +478,13 @@ TEST(WalSegmentTest, RotationReplaysAcrossAContiguousSegmentRun) {
   EXPECT_EQ(files.back(), expected);
 
   // Replay walks the whole run and reproduces the exact state.
-  serve::CollectorSession restarted =
-      serve::CollectorSession::Make(TestSpec()).ValueOrDie();
-  auto stats = restarted.RecoverAndAttachWal(
-      dir, {.segment_bytes = kTestSegmentBytes});
-  ASSERT_TRUE(stats.ok()) << stats.status().ToString();
-  EXPECT_EQ(stats->frames, frames.size());
-  EXPECT_EQ(stats->segments, files.size());
-  EXPECT_TRUE(stats->tail.ok()) << stats->tail.ToString();
-  EXPECT_TRUE(SameState(live, restarted.ExportState()));
+  const LoggedSession restarted =
+      OpenLogged(dir, {.segment_bytes = kTestSegmentBytes});
+  ASSERT_TRUE(restarted.log.has_value());
+  EXPECT_EQ(restarted.stats.frames, frames.size());
+  EXPECT_EQ(restarted.stats.segments, files.size());
+  EXPECT_TRUE(restarted.stats.tail.ok()) << restarted.stats.tail.ToString();
+  EXPECT_TRUE(SameState(live, restarted.session.ExportState()));
   std::filesystem::remove_all(dir);
 }
 
@@ -479,12 +498,12 @@ TEST(WalSegmentTest, NumberingGapIsAHardError) {
 
   serve::CollectorSession restarted =
       serve::CollectorSession::Make(TestSpec()).ValueOrDie();
-  const auto stats = restarted.RecoverAndAttachWal(
-      dir, {.segment_bytes = kTestSegmentBytes});
-  ASSERT_FALSE(stats.ok());
-  EXPECT_EQ(stats.status().code(), StatusCode::kInvalidArgument);
-  EXPECT_NE(stats.status().message().find("gap"), std::string::npos)
-      << stats.status().ToString();
+  const auto log =
+      restarted.OpenWal(dir, {.segment_bytes = kTestSegmentBytes});
+  ASSERT_FALSE(log.ok());
+  EXPECT_EQ(log.status().code(), StatusCode::kInvalidArgument);
+  EXPECT_NE(log.status().message().find("gap"), std::string::npos)
+      << log.status().ToString();
   std::filesystem::remove_all(dir);
 }
 
@@ -504,14 +523,13 @@ TEST(WalSegmentTest, TornTailTaxonomyIsPerSegment) {
   WriteFileBytes(final_path,
                  final_bytes.substr(0, final_bytes.size() - 3));
   {
-    serve::CollectorSession restarted =
-        serve::CollectorSession::Make(TestSpec()).ValueOrDie();
-    const auto stats = restarted.RecoverAndAttachWal(
-        dir, {.segment_bytes = kTestSegmentBytes});
-    ASSERT_TRUE(stats.ok()) << stats.status().ToString();
-    EXPECT_FALSE(stats->tail.ok()) << "a cut final record must be typed";
-    EXPECT_LT(stats->frames, frames.size());
-    EXPECT_GT(stats->frames, 0u);
+    const LoggedSession restarted =
+        OpenLogged(dir, {.segment_bytes = kTestSegmentBytes});
+    ASSERT_TRUE(restarted.log.has_value());
+    EXPECT_FALSE(restarted.stats.tail.ok())
+        << "a cut final record must be typed";
+    EXPECT_LT(restarted.stats.frames, frames.size());
+    EXPECT_GT(restarted.stats.frames, 0u);
   }
 
   // The SAME cut in a sealed (non-final) segment is corruption a crash
@@ -523,11 +541,11 @@ TEST(WalSegmentTest, TornTailTaxonomyIsPerSegment) {
   {
     serve::CollectorSession restarted =
         serve::CollectorSession::Make(TestSpec()).ValueOrDie();
-    const auto stats = restarted.RecoverAndAttachWal(
-        dir, {.segment_bytes = kTestSegmentBytes});
-    ASSERT_FALSE(stats.ok());
-    EXPECT_NE(stats.status().message().find("sealed"), std::string::npos)
-        << stats.status().ToString();
+    const auto log =
+        restarted.OpenWal(dir, {.segment_bytes = kTestSegmentBytes});
+    ASSERT_FALSE(log.ok());
+    EXPECT_NE(log.status().message().find("sealed"), std::string::npos)
+        << log.status().ToString();
   }
   std::filesystem::remove_all(dir);
 }
@@ -537,18 +555,14 @@ TEST(WalSegmentTest, CompactionCollapsesToOneFreshSegment) {
   const std::vector<std::string> frames =
       MakeReportFrames(TestSpec(), 8, 50, 24);
 
-  serve::CollectorSession session =
-      serve::CollectorSession::Make(TestSpec()).ValueOrDie();
-  ASSERT_TRUE(session
-                  .RecoverAndAttachWal(dir,
-                                       {.segment_bytes = kTestSegmentBytes})
-                  .ok());
+  LoggedSession logged =
+      OpenLogged(dir, {.segment_bytes = kTestSegmentBytes});
   for (const std::string& frame : frames) {
-    ASSERT_TRUE(session.HandleFrame(frame).ok());
+    ASSERT_TRUE(Ingest(&logged, frame).ok());
   }
   const size_t before = SegmentFiles(dir).size();
   ASSERT_GT(before, 1u);
-  ASSERT_TRUE(session.CompactWal().ok());
+  ASSERT_TRUE(Compact(&logged).ok());
 
   // GC left exactly one segment — the fresh checkpoint segment, numbered
   // PAST the sealed run (the numbering never reuses a unlinked slot).
@@ -559,14 +573,13 @@ TEST(WalSegmentTest, CompactionCollapsesToOneFreshSegment) {
   EXPECT_EQ(files[0], expected);
 
   // The checkpoint replays to the exact pre-compaction state.
-  serve::CollectorSession restarted =
-      serve::CollectorSession::Make(TestSpec()).ValueOrDie();
-  const auto stats = restarted.RecoverAndAttachWal(
-      dir, {.segment_bytes = kTestSegmentBytes});
-  ASSERT_TRUE(stats.ok()) << stats.status().ToString();
-  EXPECT_EQ(stats->frames, 0u);
-  EXPECT_EQ(stats->checkpoints, 1u);
-  EXPECT_TRUE(SameState(session.ExportState(), restarted.ExportState()));
+  const LoggedSession restarted =
+      OpenLogged(dir, {.segment_bytes = kTestSegmentBytes});
+  ASSERT_TRUE(restarted.log.has_value());
+  EXPECT_EQ(restarted.stats.frames, 0u);
+  EXPECT_EQ(restarted.stats.checkpoints, 1u);
+  EXPECT_TRUE(SameState(logged.session.ExportState(),
+                        restarted.session.ExportState()));
   std::filesystem::remove_all(dir);
 }
 
@@ -583,15 +596,11 @@ TEST(WalSegmentTest, DedupWindowSurvivesReplayAndCompaction) {
                     .ok());
   }
 
-  serve::CollectorSession session =
-      serve::CollectorSession::Make(TestSpec()).ValueOrDie();
-  ASSERT_TRUE(session
-                  .RecoverAndAttachWal(dir,
-                                       {.segment_bytes = kTestSegmentBytes})
-                  .ok());
+  LoggedSession logged =
+      OpenLogged(dir, {.segment_bytes = kTestSegmentBytes});
   for (const std::string& frame : frames) {
     serve::FrameOutcome outcome;
-    ASSERT_TRUE(session.HandleFrame(frame, &outcome).ok());
+    ASSERT_TRUE(Ingest(&logged, frame, &outcome).ok());
     EXPECT_TRUE(outcome.absorbed);
     EXPECT_FALSE(outcome.duplicate);
   }
@@ -599,36 +608,31 @@ TEST(WalSegmentTest, DedupWindowSurvivesReplayAndCompaction) {
   // Path 1: crash before any compaction — frame replay re-claims seqs,
   // so a full client retransmission dedups to a no-op.
   {
-    serve::CollectorSession restarted =
-        serve::CollectorSession::Make(TestSpec()).ValueOrDie();
-    ASSERT_TRUE(restarted
-                    .RecoverAndAttachWal(
-                        dir, {.segment_bytes = kTestSegmentBytes})
-                    .ok());
-    const AccumulatorState recovered = restarted.ExportState();
+    LoggedSession restarted =
+        OpenLogged(dir, {.segment_bytes = kTestSegmentBytes});
+    ASSERT_TRUE(restarted.log.has_value());
+    const AccumulatorState recovered = restarted.session.ExportState();
     for (const std::string& frame : frames) {
       serve::FrameOutcome outcome;
-      ASSERT_TRUE(restarted.HandleFrame(frame, &outcome).ok());
+      ASSERT_TRUE(restarted.session.HandleFrame(frame, &outcome).ok());
       EXPECT_TRUE(outcome.duplicate) << "replayed seq must be claimed";
       EXPECT_TRUE(outcome.has_seq);
       EXPECT_FALSE(outcome.absorbed);
     }
-    EXPECT_TRUE(SameState(recovered, restarted.ExportState()));
+    EXPECT_TRUE(SameState(recovered, restarted.session.ExportState()));
   }
 
   // Path 2: compaction replaces the frame records with a checkpoint +
   // type-3 dedup record; the window must survive that representation too.
-  ASSERT_TRUE(session.CompactWal().ok());
+  ASSERT_TRUE(Compact(&logged).ok());
   {
-    serve::CollectorSession restarted =
-        serve::CollectorSession::Make(TestSpec()).ValueOrDie();
-    const auto stats = restarted.RecoverAndAttachWal(
-        dir, {.segment_bytes = kTestSegmentBytes});
-    ASSERT_TRUE(stats.ok()) << stats.status().ToString();
-    EXPECT_EQ(stats->seq_checkpoints, 1u);
+    LoggedSession restarted =
+        OpenLogged(dir, {.segment_bytes = kTestSegmentBytes});
+    ASSERT_TRUE(restarted.log.has_value());
+    EXPECT_EQ(restarted.stats.seq_checkpoints, 1u);
     for (const std::string& frame : frames) {
       serve::FrameOutcome outcome;
-      ASSERT_TRUE(restarted.HandleFrame(frame, &outcome).ok());
+      ASSERT_TRUE(restarted.session.HandleFrame(frame, &outcome).ok());
       EXPECT_TRUE(outcome.duplicate);
     }
     // A genuinely new sequence number still absorbs.
@@ -639,7 +643,7 @@ TEST(WalSegmentTest, DedupWindowSurvivesReplayAndCompaction) {
                     {.epoch = 9, .seq = frames.size() + 1})
                     .ok());
     serve::FrameOutcome outcome;
-    ASSERT_TRUE(restarted.HandleFrame(fresh[0], &outcome).ok());
+    ASSERT_TRUE(restarted.session.HandleFrame(fresh[0], &outcome).ok());
     EXPECT_TRUE(outcome.absorbed);
     EXPECT_FALSE(outcome.duplicate);
   }

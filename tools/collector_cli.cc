@@ -2,8 +2,11 @@
 //
 // Collector mode (default): read length-prefixed wire frames (report
 // chunks from clients and/or sketch frames from other collectors) from
-// stdin or --in until EOF, then emit this process's aggregate as one
-// length-prefixed sketch frame on stdout or --out:
+// stdin or --in until EOF, then emit this process's aggregate as
+// length-prefixed sketch frames (one per tenant; exactly one without
+// tenants) on stdout or --out, after an ack frame for every sequenced
+// input frame. The input is one stream on the same event-loop server
+// listen mode runs (net::CollectorServer::AddStream), with no listener:
 //
 //   report_client ... | collector_cli --method=sw-ems --epsilon=1.0
 //       --buckets=64 --out=shard0.sketch
@@ -12,15 +15,15 @@
 // epoll event loop multiplexing any number of concurrent client
 // connections (report_client --connect --connections=N) into one
 // aggregate. SIGTERM/SIGINT trigger a graceful drain: stop accepting,
-// serve every open connection to EOF, flush, emit the sketch. The result
-// is byte-identical to the stdio pipeline over the same frames, for any
-// connection interleaving:
+// serve every open connection to EOF, flush, emit the sketches. The
+// result is byte-identical to the stdio pipeline over the same frames,
+// for any connection interleaving:
 //
 //   collector_cli --method=sw-ems --epsilon=1.0 --buckets=64
 //       --listen=tcp:0 --port-file=port.txt --out=shard0.sketch
 //
 // --out may itself be an endpoint (tcp:HOST:PORT or unix:PATH): the
-// sketch frame is dialed upstream to a coordinator instead of written to
+// sketch frames are dialed upstream to a coordinator instead of written to
 // a file, which is how a collector tree is assembled without shared
 // filesystems.
 //
@@ -46,7 +49,8 @@
 // --wal=PATH makes collector and listen modes durable: the write-ahead log
 // (serve/wal.h) is replayed before serving and every accepted frame is
 // appended, so a collector SIGKILLed at any byte offset restarts with the
-// exact pre-crash state (tests/wal_process_test.cc).
+// exact pre-crash state (tests/wal_process_test.cc). --read-timeout-ms
+// fails a connection (in collector mode: the run) that stalls mid-frame.
 //
 // All endpoints must agree on (--method, --epsilon, --buckets): frames
 // carrying any other configuration are rejected with a typed error
@@ -63,7 +67,6 @@
 #include <cstdlib>
 #include <cstring>
 #include <fstream>
-#include <iostream>
 #include <memory>
 #include <optional>
 #include <sstream>
@@ -72,7 +75,6 @@
 #include <vector>
 
 #include "cli_common.h"
-#include "common/bytes.h"
 #include "eval/streaming.h"
 #include "net/server.h"
 #include "net/socket.h"
@@ -128,7 +130,7 @@ struct CliFlags {
 void Usage() {
   fprintf(stderr,
           "usage: collector_cli --method=M --epsilon=E --buckets=D\n"
-          "                     [--in=FILE] [--read-timeout-ms=T]\n"
+          "                     [--in=FILE]\n"
           "                     [--out=FILE|tcp:HOST:PORT|unix:PATH]\n"
           "       collector_cli ... --listen=tcp:PORT|unix:PATH\n"
           "                     [--port-file=FILE] [--expect-frames=N]\n"
@@ -136,6 +138,8 @@ void Usage() {
           "       collector_cli ... --merge=... --emit-sketch [--out=FILE]\n"
           "       collector_cli ... --merge --listen=tcp:PORT\n"
           "                     --expect-frames=N [--csv]\n"
+          "read deadline (collector + listen modes): --read-timeout-ms=T\n"
+          "       fails a connection stalled mid-frame for T ms (0 = off)\n"
           "durability (collector + listen modes; serve/wal.h):\n"
           "       --wal=PATH [--wal-checkpoint-every=N] [--wal-sync]\n"
           "       [--wal-segment-bytes=N]   (PATH becomes a segment dir)\n"
@@ -216,6 +220,15 @@ bool ParseCli(int argc, char** argv, CliFlags* flags) {
   }
   if (flags->merge_listen && flags->listen.empty()) {
     fprintf(stderr, "bare --merge needs --listen (or use --merge=FILES)\n");
+    return false;
+  }
+  if (!flags->in_path.empty() &&
+      (!flags->listen.empty() || !flags->merge.empty())) {
+    fprintf(stderr, "--in applies to collector mode, not --listen/--merge\n");
+    return false;
+  }
+  if (flags->read_timeout_ms < 0) {
+    fprintf(stderr, "--read-timeout-ms must be >= 0\n");
     return false;
   }
   if (flags->emit_sketch && flags->merge.empty()) {
@@ -409,8 +422,38 @@ int PrintEstimate(const CliFlags& flags, const wire::MethodSpec& spec,
   return 0;
 }
 
-Status EmitSketches(const CliFlags& flags,
-                    const std::vector<std::string>& sketches);
+// The fd sketches (and, in collector mode, acks) are written to: the --out
+// file, opened into `file`, or stdout. -1 (after a stderr line) when the
+// file cannot be opened. Endpoint outputs are dialed by EmitSketches.
+int OpenOutput(const CliFlags& flags, net::Fd* file) {
+  if (flags.out_path.empty()) return STDOUT_FILENO;
+  file->reset(open(flags.out_path.c_str(),
+                   O_WRONLY | O_CREAT | O_TRUNC | O_CLOEXEC, 0666));
+  if (!file->valid()) {
+    fprintf(stderr, "error: cannot open '%s'\n", flags.out_path.c_str());
+    return -1;
+  }
+  return file->get();
+}
+
+// Writes length-prefixed sketch frames (one per tenant; EncodeSketches)
+// either to `out_fd` or upstream over a freshly dialed connection
+// (--out=tcp:/unix:), all in one write.
+Status EmitSketches(const CliFlags& flags, int out_fd,
+                    const std::vector<std::string>& sketches) {
+  std::string prefixed;
+  for (const std::string& sketch : sketches) {
+    serve::AppendFramePrefix(sketch.size(), &prefixed);
+    prefixed.append(sketch);
+  }
+  if (IsEndpointSpec(flags.out_path)) {
+    NUMDIST_ASSIGN_OR_RETURN(const net::Endpoint upstream,
+                             net::ParseEndpoint(flags.out_path));
+    NUMDIST_ASSIGN_OR_RETURN(net::Fd fd, net::Dial(upstream));
+    return net::WriteAll(fd.get(), prefixed);
+  }
+  return net::WriteAll(out_fd, prefixed);
+}
 
 int RunCoordinator(const CliFlags& flags, serve::CollectorSession* session) {
   std::vector<std::string> paths;
@@ -433,7 +476,10 @@ int RunCoordinator(const CliFlags& flags, serve::CollectorSession* session) {
     // output file feeds another --merge level or a --listen coordinator.
     Result<std::vector<std::string>> sketches = session->EncodeSketches();
     if (!sketches.ok()) return Fail(sketches.status());
-    const Status emitted = EmitSketches(flags, sketches.value());
+    net::Fd out_file;
+    const int out_fd = OpenOutput(flags, &out_file);
+    if (out_fd < 0) return 1;
+    const Status emitted = EmitSketches(flags, out_fd, sketches.value());
     if (!emitted.ok()) return Fail(emitted);
     fprintf(stderr, "merged %zu sketch file(s) into %zu frame(s), "
             "%llu reports\n",
@@ -447,45 +493,6 @@ int RunCoordinator(const CliFlags& flags, serve::CollectorSession* session) {
           static_cast<unsigned long long>(session->num_reports()));
   return PrintEstimate(flags, session->spec(), session->num_reports(),
                        output.value());
-}
-
-// Writes length-prefixed sketch frames either to a local file/stdout or
-// upstream over a freshly dialed connection (--out=tcp:/unix:). Multiple
-// frames (one per tenant; EncodeSketches) go over one connection / into
-// one file, exactly as a serving collector would emit them.
-Status EmitSketches(const CliFlags& flags,
-                    const std::vector<std::string>& sketches) {
-  if (IsEndpointSpec(flags.out_path)) {
-    NUMDIST_ASSIGN_OR_RETURN(const net::Endpoint upstream,
-                             net::ParseEndpoint(flags.out_path));
-    NUMDIST_ASSIGN_OR_RETURN(net::Fd fd, net::Dial(upstream));
-    std::string prefixed;
-    for (const std::string& sketch : sketches) {
-      prefixed.reserve(prefixed.size() + 4 + sketch.size());
-      ByteWriter(&prefixed).PutU32(static_cast<uint32_t>(sketch.size()));
-      prefixed.append(sketch);
-    }
-    return net::WriteAll(fd.get(), prefixed);
-  }
-  std::ofstream file_out;
-  if (!flags.out_path.empty()) {
-    file_out.open(flags.out_path, std::ios::binary);
-    if (!file_out) {
-      return Status::InvalidArgument("collector: cannot open '" +
-                                     flags.out_path + "'");
-    }
-  }
-  std::ostream& out = flags.out_path.empty() ? std::cout : file_out;
-  for (const std::string& sketch : sketches) {
-    NUMDIST_RETURN_NOT_OK(serve::WriteFrame(out, sketch));
-  }
-  out.flush();
-  if (!out) return Status::Internal("collector: sketch write failed");
-  return Status::OK();
-}
-
-Status EmitSketch(const CliFlags& flags, const std::string& sketch) {
-  return EmitSketches(flags, {sketch});
 }
 
 // Shared between RunServer and the estimate sink closure: the sink is
@@ -545,9 +552,16 @@ void OnDrainSignal(int) {
   if (g_server != nullptr) g_server->RequestDrain();
 }
 
-int RunServer(const CliFlags& flags, const wire::MethodSpec& spec) {
+using TenantBudgets = std::vector<std::pair<uint32_t, serve::TenantBudget>>;
+
+// Collector and listen modes: one CollectorServer, fed by its listener or
+// by the one input stream (stdin or --in) that ends the run at EOF.
+int RunServer(const CliFlags& flags, const wire::MethodSpec& spec,
+              const TenantBudgets& budgets) {
+  const bool listening = !flags.listen.empty();
   net::ServerOptions options;
   options.expect_frames = flags.expect_frames;
+  options.read_timeout_ms = flags.read_timeout_ms;
   options.wal_path = flags.wal_path;
   options.wal.checkpoint_every_frames = flags.wal_checkpoint_every;
   options.wal.sync_each_record = flags.wal_sync;
@@ -562,6 +576,8 @@ int RunServer(const CliFlags& flags, const wire::MethodSpec& spec) {
     options.send_acks = false;
     options.drain_on_disconnect = true;
   }
+  // Collector mode: the run ends with its one input stream.
+  if (!listening) options.drain_on_disconnect = true;
   options.estimate_every_frames = flags.estimate_every_frames;
   options.estimate_every_ms = flags.estimate_every_ms;
   if (flags.estimate_mode == "minibatch") {
@@ -585,57 +601,75 @@ int RunServer(const CliFlags& flags, const wire::MethodSpec& spec) {
       HandleEstimateTick(est.get(), tick);
     };
   }
-  Result<std::unique_ptr<net::CollectorServer>> server =
+  Result<std::unique_ptr<net::CollectorServer>> made =
       net::CollectorServer::Make(spec, options);
-  if (!server.ok()) return Fail(server.status());
-  if (!flags.wal_path.empty()) {
-    ReportWalRecovery(server.value()->wal_recovery());
-  }
-  if (!flags.tenant_budgets.empty()) {
-    std::vector<std::pair<uint32_t, serve::TenantBudget>> budgets;
-    if (!ParseTenantBudgets(flags.tenant_budgets, &budgets)) return 2;
-    for (const auto& [tenant, budget] : budgets) {
-      server.value()->SetTenantBudget(tenant, budget);
-    }
+  if (!made.ok()) return Fail(made.status());
+  net::CollectorServer& server = *made.value();
+  if (!flags.wal_path.empty()) ReportWalRecovery(server.wal_recovery());
+  for (const auto& [tenant, budget] : budgets) {
+    server.SetTenantBudget(tenant, budget);
   }
   if (estimating) {
     est->scratch.emplace(
-        StreamingAggregator::ForEstimator(server.value()->live_estimator()));
+        StreamingAggregator::ForEstimator(server.live_estimator()));
   }
 
-  Result<net::Endpoint> listen_at = net::ParseEndpoint(flags.listen);
-  if (!listen_at.ok()) return Fail(listen_at.status());
-  Result<net::Endpoint> bound = server.value()->AddListener(listen_at.value());
-  if (!bound.ok()) return Fail(bound.status());
-  const std::string bound_name = net::EndpointName(bound.value());
-  if (!flags.port_file.empty()) {
-    std::ofstream pf(flags.port_file, std::ios::trunc);
-    pf << bound_name << "\n";
-    if (!pf) {
-      fprintf(stderr, "error: cannot write '%s'\n", flags.port_file.c_str());
-      return 1;
+  // Listen mode opens --out only once the aggregate is complete; collector
+  // mode writes acks there while it serves.
+  net::Fd in_file, out_file;
+  int out_fd = -1;
+  if (listening) {
+    Result<net::Endpoint> listen_at = net::ParseEndpoint(flags.listen);
+    if (!listen_at.ok()) return Fail(listen_at.status());
+    Result<net::Endpoint> bound = server.AddListener(listen_at.value());
+    if (!bound.ok()) return Fail(bound.status());
+    const std::string bound_name = net::EndpointName(bound.value());
+    if (!flags.port_file.empty()) {
+      std::ofstream pf(flags.port_file, std::ios::trunc);
+      pf << bound_name << "\n";
+      if (!pf) {
+        fprintf(stderr, "error: cannot write '%s'\n", flags.port_file.c_str());
+        return 1;
+      }
     }
+    fprintf(stderr, "collector listening on %s\n", bound_name.c_str());
+
+    g_server = &server;
+    struct sigaction sa;
+    std::memset(&sa, 0, sizeof(sa));
+    sa.sa_handler = OnDrainSignal;
+    sigaction(SIGTERM, &sa, nullptr);
+    sigaction(SIGINT, &sa, nullptr);
+  } else {
+    int in_fd = STDIN_FILENO;
+    if (!flags.in_path.empty()) {
+      in_file.reset(open(flags.in_path.c_str(), O_RDONLY | O_CLOEXEC));
+      if (!in_file.valid()) {
+        fprintf(stderr, "error: cannot open '%s'\n", flags.in_path.c_str());
+        return 1;
+      }
+      in_fd = in_file.get();
+    }
+    // An upstream coordinator gets only the sketches: acks are dropped.
+    if (!IsEndpointSpec(flags.out_path)) {
+      out_fd = OpenOutput(flags, &out_file);
+      if (out_fd < 0) return 1;
+    }
+    const Status added = server.AddStream(in_fd, out_fd);
+    if (!added.ok()) return Fail(added);
   }
-  fprintf(stderr, "collector listening on %s\n", bound_name.c_str());
 
-  g_server = server.value().get();
-  struct sigaction sa;
-  std::memset(&sa, 0, sizeof(sa));
-  sa.sa_handler = OnDrainSignal;
-  sigaction(SIGTERM, &sa, nullptr);
-  sigaction(SIGINT, &sa, nullptr);
-
-  const Status run = server.value()->Run();
+  const Status run = server.Run();
   g_server = nullptr;
   if (!run.ok()) return Fail(run);
 
-  const net::ServerStats& stats = server.value()->stats();
+  const net::ServerStats& stats = server.stats();
   fprintf(stderr,
           "collector drained: %llu connection(s), %llu frame(s), "
           "%llu report(s), %llu pause(s) (%s)\n",
           static_cast<unsigned long long>(stats.connections_accepted),
           static_cast<unsigned long long>(stats.frames_absorbed),
-          static_cast<unsigned long long>(server.value()->num_reports()),
+          static_cast<unsigned long long>(server.num_reports()),
           static_cast<unsigned long long>(stats.pauses),
           wire::MethodSpecName(spec).c_str());
   if (stats.connection_errors > 0) {
@@ -662,75 +696,18 @@ int RunServer(const CliFlags& flags, const wire::MethodSpec& spec) {
   if (flags.merge_listen) {
     // Network coordinator: the listener fed us sketch frames; reconstruct
     // and print instead of re-encoding a sketch.
-    Result<MethodOutput> output = server.value()->Reconstruct();
+    Result<MethodOutput> output = server.Reconstruct();
     if (!output.ok()) return Fail(output.status());
-    return PrintEstimate(flags, spec, server.value()->num_reports(),
-                         output.value());
+    return PrintEstimate(flags, spec, server.num_reports(), output.value());
   }
-  Result<std::string> sketch = server.value()->EncodeSketch();
-  if (!sketch.ok()) return Fail(sketch.status());
-  const Status emitted = EmitSketch(flags, sketch.value());
+  Result<std::vector<std::string>> sketches = server.EncodeSketches();
+  if (!sketches.ok()) return Fail(sketches.status());
+  if (listening && !IsEndpointSpec(flags.out_path)) {
+    out_fd = OpenOutput(flags, &out_file);
+    if (out_fd < 0) return 1;
+  }
+  const Status emitted = EmitSketches(flags, out_fd, sketches.value());
   if (!emitted.ok()) return Fail(emitted);
-  return 0;
-}
-
-int RunCollector(const CliFlags& flags, serve::CollectorSession* session) {
-  // Stdio/pipe/file mode serves through the same poll-driven loop the
-  // network server uses per connection, which is what gives --in streams
-  // a mid-frame read deadline; output bytes are identical to ServeStream.
-  if (!flags.wal_path.empty()) {
-    serve::WalOptions wal_options;
-    wal_options.checkpoint_every_frames = flags.wal_checkpoint_every;
-    wal_options.sync_each_record = flags.wal_sync;
-    wal_options.segment_bytes = flags.wal_segment_bytes;
-    Result<serve::WalReplayStats> recovered =
-        session->RecoverAndAttachWal(flags.wal_path, wal_options);
-    if (!recovered.ok()) return Fail(recovered.status());
-    ReportWalRecovery(recovered.value());
-  }
-  int in_fd = STDIN_FILENO;
-  net::Fd file_fd;
-  if (!flags.in_path.empty()) {
-    file_fd.reset(open(flags.in_path.c_str(), O_RDONLY | O_CLOEXEC));
-    if (!file_fd.valid()) {
-      fprintf(stderr, "error: cannot open '%s'\n", flags.in_path.c_str());
-      return 1;
-    }
-    in_fd = file_fd.get();
-  }
-  std::ofstream file_out;
-  if (!flags.out_path.empty() && !IsEndpointSpec(flags.out_path)) {
-    file_out.open(flags.out_path, std::ios::binary);
-    if (!file_out) {
-      fprintf(stderr, "error: cannot open '%s'\n", flags.out_path.c_str());
-      return 1;
-    }
-  }
-  serve::ServeFdOptions options;
-  options.read_timeout_ms = flags.read_timeout_ms;
-  if (IsEndpointSpec(flags.out_path)) {
-    // Absorb locally, then dial the sketch upstream.
-    std::ostringstream sink;
-    const Status st = serve::ServeFd(in_fd, sink, session, options);
-    if (!st.ok()) return Fail(st);
-    Result<std::string> sketch = session->EncodeSketch();
-    if (!sketch.ok()) return Fail(sketch.status());
-    const Status emitted = EmitSketch(flags, sketch.value());
-    if (!emitted.ok()) return Fail(emitted);
-  } else {
-    std::ostream& out = flags.out_path.empty() ? std::cout : file_out;
-    const Status st = serve::ServeFd(in_fd, out, session, options);
-    if (!st.ok()) return Fail(st);
-  }
-  if (session->has_wal()) {
-    // Clean EOF: compact the log to one checkpoint of the final state so
-    // a restart replays a single record instead of the whole stream.
-    const Status compacted = session->CompactWal();
-    if (!compacted.ok()) return Fail(compacted);
-  }
-  fprintf(stderr, "collector absorbed %llu reports (%s)\n",
-          static_cast<unsigned long long>(session->num_reports()),
-          wire::MethodSpecName(session->spec()).c_str());
   return 0;
 }
 
@@ -748,22 +725,18 @@ int main(int argc, char** argv) {
   Result<wire::MethodSpec> spec = wire::ParseMethodSpec(
       flags.method, flags.epsilon, static_cast<uint32_t>(flags.buckets));
   if (!spec.ok()) return Fail(spec.status());
-
-  if (!flags.listen.empty()) {
-    return RunServer(flags, spec.value());
+  TenantBudgets budgets;
+  if (!flags.tenant_budgets.empty() &&
+      !ParseTenantBudgets(flags.tenant_budgets, &budgets)) {
+    return 2;
   }
+
+  if (flags.merge.empty()) return RunServer(flags, spec.value(), budgets);
   Result<serve::CollectorSession> session =
       serve::CollectorSession::Make(spec.value());
   if (!session.ok()) return Fail(session.status());
-  if (!flags.tenant_budgets.empty()) {
-    std::vector<std::pair<uint32_t, serve::TenantBudget>> budgets;
-    if (!ParseTenantBudgets(flags.tenant_budgets, &budgets)) return 2;
-    for (const auto& [tenant, budget] : budgets) {
-      session.value().SetTenantBudget(tenant, budget);
-    }
+  for (const auto& [tenant, budget] : budgets) {
+    session.value().SetTenantBudget(tenant, budget);
   }
-  if (!flags.merge.empty()) {
-    return RunCoordinator(flags, &session.value());
-  }
-  return RunCollector(flags, &session.value());
+  return RunCoordinator(flags, &session.value());
 }
