@@ -3,6 +3,7 @@
 // the client CPU cost and the aggregator's per-user work.
 #include <benchmark/benchmark.h>
 
+#include "common/crc32.h"
 #include "common/rng.h"
 #include "core/square_wave.h"
 #include "fo/grr.h"
@@ -323,6 +324,46 @@ void ENC_AVX512_GrrEncodeBatch(benchmark::State& state) {
   state.SetItemsProcessed(state.iterations() * n);
 }
 BENCHMARK(ENC_AVX512_GrrEncodeBatch)->Arg(1024);
+
+// ---- CRC-32C per kernel tier (bytes/s) ----
+//
+// The WAL record checksum over one 32 KiB buffer (a 4096-report SW frame
+// is about that size) under each forced tier; the label records the tier
+// that actually ran, since forcing clamps down the ladder on hosts that
+// lack one. The CRC_ series gives the per-tier ratio in the bench JSON.
+// Each bench restores normal dispatch afterwards, so forcing scalar here
+// cannot slow its neighbours.
+
+void RunCrc32c(benchmark::State& state, kernels::Isa isa) {
+  std::vector<unsigned char> buffer(32 * 1024);
+  Rng rng(15);
+  for (unsigned char& b : buffer) b = static_cast<unsigned char>(rng.Next());
+  kernels::ForceIsaForTest(isa);
+  uint32_t crc = 0;
+  for (auto _ : state) {
+    crc = Crc32c(buffer.data(), buffer.size(), crc);
+    benchmark::DoNotOptimize(crc);
+  }
+  state.SetLabel(kernels::IsaName(kernels::ActiveIsa()));
+  kernels::ResetIsaForTest();
+  state.SetBytesProcessed(state.iterations() *
+                          static_cast<int64_t>(buffer.size()));
+}
+
+void CRC_SCALAR_Crc32c(benchmark::State& state) {
+  RunCrc32c(state, kernels::Isa::kScalar);
+}
+BENCHMARK(CRC_SCALAR_Crc32c);
+
+void CRC_AVX2_Crc32c(benchmark::State& state) {
+  RunCrc32c(state, kernels::Isa::kAvx2);
+}
+BENCHMARK(CRC_AVX2_Crc32c);
+
+void CRC_AVX512_Crc32c(benchmark::State& state) {
+  RunCrc32c(state, kernels::Isa::kAvx512);
+}
+BENCHMARK(CRC_AVX512_Crc32c);
 
 // ---- Bulk RNG generation (items = draws/s) and discrete sampling
 // (alias table vs linear weight scan).

@@ -1,38 +1,11 @@
 #include "common/crc32.h"
 
-#include <array>
+#include "kernels/kernels.h"
 
 namespace numdist {
 
-namespace {
-
-// 256-entry table for the reflected Castagnoli polynomial, built once at
-// static-init time (the generator is trivial and branch-free, so there is
-// nothing to be gained from committing 1 KiB of literals instead).
-std::array<uint32_t, 256> BuildTable() {
-  constexpr uint32_t kPoly = 0x82F63B78u;
-  std::array<uint32_t, 256> table{};
-  for (uint32_t i = 0; i < 256; ++i) {
-    uint32_t crc = i;
-    for (int bit = 0; bit < 8; ++bit) {
-      crc = (crc >> 1) ^ ((crc & 1u) ? kPoly : 0u);
-    }
-    table[i] = crc;
-  }
-  return table;
-}
-
-const std::array<uint32_t, 256> kTable = BuildTable();
-
-}  // namespace
-
 uint32_t Crc32c(const void* data, size_t len, uint32_t seed) {
-  const auto* p = static_cast<const unsigned char*>(data);
-  uint32_t crc = ~seed;
-  for (size_t i = 0; i < len; ++i) {
-    crc = (crc >> 8) ^ kTable[(crc ^ p[i]) & 0xFFu];
-  }
-  return ~crc;
+  return kernels::Crc32c(data, len, seed);
 }
 
 }  // namespace numdist

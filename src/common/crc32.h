@@ -1,12 +1,15 @@
 // CRC-32C (Castagnoli, polynomial 0x1EDC6F41, reflected 0x82F63B78) —
 // the integrity check framing the write-ahead log records (serve/wal.h).
 //
-// Software-only slice-by-one table implementation: the WAL's durability
-// contract is "a torn or bit-flipped record is a typed error, never a
-// crash or a silently wrong aggregate", and a few hundred MB/s of
-// checksum throughput is far above the log's append rate, so no SSE4.2
-// dispatch is warranted here. The byte-level framing this checksum
-// participates in is specified in docs/WIRE_FORMAT.md.
+// Every accepted frame is checksummed on the collector's reactor thread
+// when it is logged, and again when the log is replayed, so this sits on
+// the durable path's critical path. It runs on the kernel ladder
+// (kernels/kernels.h): the AVX2 and AVX-512 tiers use the SSE4.2 crc32
+// instruction, 8 bytes per step; the scalar tier (NUMDIST_FORCE_ISA=scalar,
+// or a CPU without those tiers) is a byte-wise table. CRC is exact, so the
+// tiers agree bit for bit and a log written under one tier replays under
+// any other. The byte-level framing this checksum participates in is
+// specified in docs/WIRE_FORMAT.md.
 #pragma once
 
 #include <cstddef>

@@ -13,9 +13,12 @@ namespace numdist::kernels {
 
 namespace {
 
+// Both vector tiers run Crc32c on the SSE4.2 crc32 instruction. Every real
+// AVX2 CPU has SSE4.2, but a VM with masked CPUID may report avx2 without
+// it, so each tier checks the bit itself.
 bool CpuHasAvx2() {
 #if defined(__x86_64__) || defined(__i386__)
-  return __builtin_cpu_supports("avx2");
+  return __builtin_cpu_supports("avx2") && __builtin_cpu_supports("sse4.2");
 #else
   return false;
 #endif
@@ -25,7 +28,8 @@ bool CpuHasAvx512() {
 #if defined(__x86_64__) || defined(__i386__)
   // The AVX-512 TU uses mask compares/expands (bw, vl) beyond the f
   // baseline; dq is enabled at compile time, so require it too.
-  return __builtin_cpu_supports("avx512f") &&
+  return __builtin_cpu_supports("sse4.2") &&
+         __builtin_cpu_supports("avx512f") &&
          __builtin_cpu_supports("avx512bw") &&
          __builtin_cpu_supports("avx512dq") &&
          __builtin_cpu_supports("avx512vl");
@@ -161,6 +165,10 @@ void LessThan(const double* u, double threshold, uint8_t* out, size_t n) {
 void GrrResponseMap(const double* u, const uint32_t* values, uint32_t* out,
                     size_t n, double p, double inv_rest, uint32_t domain) {
   Active()->grr_response_map(u, values, out, n, p, inv_rest, domain);
+}
+
+uint32_t Crc32c(const void* data, size_t len, uint32_t seed) {
+  return Active()->crc32c(data, len, seed);
 }
 
 }  // namespace numdist::kernels

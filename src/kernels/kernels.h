@@ -1,4 +1,5 @@
-// Runtime-dispatched SIMD numeric kernels for the report/EM hot paths.
+// Runtime-dispatched SIMD numeric kernels for the report/EM hot paths, and
+// the CRC-32C that checksums write-ahead log records.
 //
 // Every kernel has three implementations selected once per process: an
 // AVX-512 build (own TU, -mavx512{f,bw,dq,vl}), an AVX2 build (own TU,
@@ -22,6 +23,9 @@
 //     per element. No FMA contraction is used on any path (the kernel
 //     TUs are compiled with -ffp-contract=off), so a fused multiply-add
 //     can never make one path round differently from another.
+//   * Crc32c is integer arithmetic over GF(2): the scalar build walks a
+//     byte-wise table, the vector builds step the SSE4.2 crc32
+//     instruction, and both compute the one exact checksum.
 //
 // Dispatch: resolved on first use. NUMDIST_FORCE_ISA={scalar,avx2,avx512}
 // in the environment pins one build (used by CI to diff the tiers; a pinned
@@ -30,8 +34,9 @@
 // for NUMDIST_FORCE_ISA=scalar and is overridden by the new variable when
 // both are set. Otherwise the widest available tier wins: AVX-512 when the
 // binary carries that TU and the CPU reports avx512{f,bw,dq,vl}, else AVX2,
-// else scalar. ForceIsaForTest() overrides the choice in-process so one
-// test binary can compare all paths directly.
+// else scalar. Both vector tiers also require the sse4.2 bit (their Crc32c
+// uses the crc32 instruction). ForceIsaForTest() overrides the choice
+// in-process so one test binary can compare all paths directly.
 #pragma once
 
 #include <cstddef>
@@ -55,11 +60,11 @@ Isa ActiveIsa();
 const char* IsaName(Isa isa);
 
 /// True iff this binary carries the AVX2 kernel build and the CPU supports
-/// it (ignores the environment override).
+/// avx2 and sse4.2 (ignores the environment override).
 bool Avx2Available();
 
 /// True iff this binary carries the AVX-512 kernel build and the CPU
-/// supports avx512f/bw/dq/vl (ignores the environment override).
+/// supports avx512f/bw/dq/vl and sse4.2 (ignores the environment override).
 bool Avx512Available();
 
 /// Test/bench-only: pins dispatch to `isa`. Pinning a tier whose build or
@@ -126,5 +131,11 @@ void LessThan(const double* u, double threshold, uint8_t* out, size_t n);
 /// past values[i]. Requires domain >= 2 and inv_rest == 1 / (1 - p).
 void GrrResponseMap(const double* u, const uint32_t* values, uint32_t* out,
                     size_t n, double p, double inv_rest, uint32_t domain);
+
+/// CRC-32C (Castagnoli, reflected polynomial 0x82F63B78) of data[0..len),
+/// continuing from `seed`: Crc32c(b, Crc32c(a)) == Crc32c(a + b), and the
+/// empty input with seed 0 checksums to 0. Prefer numdist::Crc32c
+/// (common/crc32.h), which forwards here.
+uint32_t Crc32c(const void* data, size_t len, uint32_t seed);
 
 }  // namespace numdist::kernels

@@ -5,7 +5,10 @@
 // -ffp-contract=off so the compiler cannot fuse a multiply-add here that
 // the explicit mul/add intrinsics on the AVX2 side would keep separate —
 // that is what makes the two builds bit-exact (kernels.h contract).
+// Crc32c is the byte-wise 256-entry table loop.
 #include "kernels/kernel_table.h"
+
+#include <array>
 
 namespace numdist::kernels {
 
@@ -135,11 +138,38 @@ void GrrResponseMapScalar(const double* u, const uint32_t* values,
   }
 }
 
+// 256-entry table for the reflected Castagnoli polynomial, built at
+// compile time (the generator is trivial and branch-free, so there is
+// nothing to be gained from committing 1 KiB of literals instead).
+constexpr std::array<uint32_t, 256> BuildCrcTable() {
+  constexpr uint32_t kPoly = 0x82F63B78u;
+  std::array<uint32_t, 256> table{};
+  for (uint32_t i = 0; i < 256; ++i) {
+    uint32_t crc = i;
+    for (int bit = 0; bit < 8; ++bit) {
+      crc = (crc >> 1) ^ ((crc & 1u) ? kPoly : 0u);
+    }
+    table[i] = crc;
+  }
+  return table;
+}
+
+constexpr std::array<uint32_t, 256> kCrcTable = BuildCrcTable();
+
+uint32_t Crc32cScalar(const void* data, size_t len, uint32_t seed) {
+  const auto* p = static_cast<const unsigned char*>(data);
+  uint32_t crc = ~seed;
+  for (size_t i = 0; i < len; ++i) {
+    crc = (crc >> 8) ^ kCrcTable[(crc ^ p[i]) & 0xFFu];
+  }
+  return ~crc;
+}
+
 constexpr KernelTable kScalarTable = {
     DotScalar,         Dot2Scalar,          SumScalar,
     AxpyScalar,        Axpy2Scalar,         MulAndSumScalar,
     ScaleScalar,       WindowCombineScalar, LessThanScalar,
-    GrrResponseMapScalar,
+    GrrResponseMapScalar, Crc32cScalar,
 };
 
 }  // namespace

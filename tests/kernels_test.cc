@@ -7,6 +7,9 @@
 //   3. whole encode paths: every protocol family's EncodePerturbBatch wire
 //      payload, and a full sharded pipeline run, byte-compared across
 //      dispatch.
+// Crc32c is integer-exact rather than blocked: every tier must reproduce
+// the RFC 3720 known answers, agree on random buffers at every start
+// offset, and chain through its seed.
 // Every sweep compares the scalar reference against EVERY vector tier:
 // forcing a tier the host lacks clamps down the fallback ladder
 // (avx512 -> avx2 -> scalar), so those comparisons degrade to trivially
@@ -17,6 +20,7 @@
 
 #include <cstdlib>
 #include <cstring>
+#include <string>
 #include <vector>
 
 #include "common/rng.h"
@@ -373,6 +377,102 @@ TEST(KernelDispatchTest, Avx512TierIsBitExactAgainstBothLowerTiers) {
         << "avx512 reductions differ from avx2, n=" << n;
     EXPECT_EQ(scalar.second, avx512.second) << "elementwise n=" << n;
     EXPECT_EQ(avx2.second, avx512.second) << "elementwise n=" << n;
+  }
+}
+
+// ---- CRC-32C (the WAL record checksum).
+
+const Isa kAllIsas[] = {Isa::kScalar, Isa::kAvx2, Isa::kAvx512};
+
+uint32_t Crc(const std::string& bytes, uint32_t seed = 0) {
+  return kernels::Crc32c(bytes.data(), bytes.size(), seed);
+}
+
+// `n` seeded random bytes. Callers allocate 8 spare bytes and slice from
+// offsets 0..7 so the 8-byte steps meet every alignment.
+std::string RandomBytes(size_t n, uint64_t seed) {
+  Rng rng(seed);
+  std::string bytes(n, '\0');
+  for (char& c : bytes) c = static_cast<char>(rng.Next() & 0xFFu);
+  return bytes;
+}
+
+TEST(KernelDispatchTest, Crc32cKnownAnswersUnderEveryTier) {
+  IsaGuard guard;
+  std::string ascending(32, '\0');
+  for (size_t i = 0; i < ascending.size(); ++i) {
+    ascending[i] = static_cast<char>(i);
+  }
+  for (const Isa isa : kAllIsas) {
+    kernels::ForceIsaForTest(isa);
+    const char* name = kernels::IsaName(isa);
+    // RFC 3720 appendix B.4 (iSCSI) CRC-32C examples.
+    EXPECT_EQ(Crc(std::string(32, '\0')), 0x8A9136AAu) << name;
+    EXPECT_EQ(Crc(std::string(32, '\xFF')), 0x62A8AB43u) << name;
+    EXPECT_EQ(Crc(ascending), 0x46DD794Eu) << name;
+    // The standard CRC check value, and the empty input.
+    EXPECT_EQ(Crc("123456789"), 0xE3069283u) << name;
+    EXPECT_EQ(kernels::Crc32c(nullptr, 0, 0), 0u) << name;
+  }
+}
+
+TEST(KernelDispatchTest, Crc32cIsExactAcrossIsas) {
+  IsaGuard guard;
+  std::vector<size_t> lengths;
+  for (size_t n = 0; n <= 64; ++n) lengths.push_back(n);
+  for (size_t n : {32768, 32775, 65536 + 13}) lengths.push_back(n);
+  for (const size_t n : lengths) {
+    const std::string buffer = RandomBytes(n + 8, 1009 + n);
+    for (size_t offset = 0; offset < 8; ++offset) {
+      const uint32_t seed = static_cast<uint32_t>(Rng(n * 8 + offset).Next());
+      for (const uint32_t s : {uint32_t{0}, seed}) {
+        kernels::ForceIsaForTest(Isa::kScalar);
+        const uint32_t scalar =
+            kernels::Crc32c(buffer.data() + offset, n, s);
+        for (const Isa isa : kVectorIsas) {
+          kernels::ForceIsaForTest(isa);
+          EXPECT_EQ(kernels::Crc32c(buffer.data() + offset, n, s), scalar)
+              << "n=" << n << " offset=" << offset << " seed=" << s
+              << " isa=" << kernels::IsaName(isa);
+        }
+      }
+    }
+  }
+}
+
+TEST(KernelDispatchTest, Crc32cChainsThroughItsSeed) {
+  IsaGuard guard;
+  const std::string bytes = RandomBytes(1000, 77);
+  for (const Isa isa : kAllIsas) {
+    kernels::ForceIsaForTest(isa);
+    const uint32_t whole = Crc(bytes);
+    for (size_t cut : {0, 1, 7, 8, 9, 63, 500, 999, 1000}) {
+      const std::string a = bytes.substr(0, cut);
+      const std::string b = bytes.substr(cut);
+      EXPECT_EQ(Crc(b, Crc(a)), whole)
+          << "cut=" << cut << " isa=" << kernels::IsaName(isa);
+    }
+  }
+}
+
+// The sweeps above clamp a forced AVX-512 to AVX2 on hosts without it;
+// this leg says so loudly instead of passing on the lower tier.
+TEST(KernelDispatchTest, Crc32cAvx512TierMatchesScalar) {
+  if (!kernels::Avx512Available()) {
+    GTEST_SKIP() << "SKIP: host CPU lacks AVX-512 (need F+BW+DQ+VL); the "
+                    "AVX-512 Crc32c tier was NOT exercised in this run";
+  }
+  IsaGuard guard;
+  for (size_t n : {0, 1, 7, 8, 9, 31, 32, 33, 4096, 32768 + 5}) {
+    const std::string buffer = RandomBytes(n + 8, 2003 + n);
+    for (size_t offset = 0; offset < 8; ++offset) {
+      kernels::ForceIsaForTest(Isa::kScalar);
+      const uint32_t scalar = kernels::Crc32c(buffer.data() + offset, n, 0);
+      kernels::ForceIsaForTest(Isa::kAvx512);
+      ASSERT_EQ(kernels::ActiveIsa(), Isa::kAvx512);
+      EXPECT_EQ(kernels::Crc32c(buffer.data() + offset, n, 0), scalar)
+          << "n=" << n << " offset=" << offset;
+    }
   }
 }
 

@@ -3,7 +3,9 @@
 // error (never a crash, never garbage state), checkpoint compaction is
 // state-preserving, replay is deterministic, and tenant routing survives
 // the log round trip. The cross-process SIGKILL variant of these claims
-// lives in tests/wal_process_test.cc.
+// lives in tests/wal_process_test.cc. The record checksum runs on the
+// kernel ladder, so the log's bytes and its replay must not depend on the
+// dispatched tier.
 #include "serve/wal.h"
 
 #include <gtest/gtest.h>
@@ -19,6 +21,7 @@
 #include <vector>
 
 #include "data/datasets.h"
+#include "kernels/kernels.h"
 #include "protocol/sharded.h"
 #include "serve/collector.h"
 #include "wire/wire.h"
@@ -648,6 +651,105 @@ TEST(WalSegmentTest, DedupWindowSurvivesReplayAndCompaction) {
     EXPECT_FALSE(outcome.duplicate);
   }
   std::filesystem::remove_all(dir);
+}
+
+// ---------------------------------------------------------------------------
+// Cross-tier logs: the record CRC is computed by the dispatched kernel tier
+// (scalar table or SSE4.2 crc32), and neither the bytes on disk nor what
+// replay recovers may depend on which tier wrote or reads the log.
+
+// Restores normal dispatch however a test exits.
+struct IsaGuard {
+  ~IsaGuard() { kernels::ResetIsaForTest(); }
+};
+
+// Forcing avx512 clamps down the ladder to the widest tier the host runs.
+constexpr kernels::Isa kBestIsa = kernels::Isa::kAvx512;
+
+TEST(WalSegmentTest, LogBytesAndReplayAreIdenticalAcrossIsas) {
+  IsaGuard guard;
+  const std::vector<std::string> frames =
+      MakeReportFrames(TestSpec(), 8, 50, 27);
+  const std::string scalar_dir = TempSegDir("wal_isa_scalar");
+  const std::string best_dir = TempSegDir("wal_isa_best");
+  std::vector<std::string> expected;
+  {
+    serve::CollectorSession reference =
+        serve::CollectorSession::Make(TestSpec()).ValueOrDie();
+    for (const std::string& frame : frames) {
+      ASSERT_TRUE(reference.HandleFrame(frame).ok());
+    }
+    expected = reference.EncodeSketches().ValueOrDie();
+  }
+  kernels::ForceIsaForTest(kernels::Isa::kScalar);
+  BuildSegmentedLog(scalar_dir, frames);
+  kernels::ForceIsaForTest(kBestIsa);
+  BuildSegmentedLog(best_dir, frames);
+
+  // Same segment run, byte for byte.
+  const std::vector<std::string> files = SegmentFiles(scalar_dir);
+  ASSERT_GT(files.size(), 1u);
+  ASSERT_EQ(files, SegmentFiles(best_dir));
+  for (const std::string& name : files) {
+    EXPECT_EQ(ReadFileBytes(scalar_dir + "/" + name),
+              ReadFileBytes(best_dir + "/" + name))
+        << name << " differs between scalar and "
+        << kernels::IsaName(kernels::ActiveIsa());
+  }
+
+  // Each log replays under the OTHER tier to the reference sketches.
+  const std::pair<std::string, kernels::Isa> replays[] = {
+      {scalar_dir, kBestIsa}, {best_dir, kernels::Isa::kScalar}};
+  for (const auto& [dir, isa] : replays) {
+    kernels::ForceIsaForTest(isa);
+    const LoggedSession restarted =
+        OpenLogged(dir, {.segment_bytes = kTestSegmentBytes});
+    ASSERT_TRUE(restarted.log.has_value()) << dir;
+    EXPECT_EQ(restarted.stats.frames, frames.size()) << dir;
+    EXPECT_TRUE(restarted.stats.tail.ok()) << restarted.stats.tail.ToString();
+    EXPECT_EQ(restarted.session.EncodeSketches().ValueOrDie(), expected)
+        << dir << " replayed under " << kernels::IsaName(isa);
+  }
+  std::filesystem::remove_all(scalar_dir);
+  std::filesystem::remove_all(best_dir);
+}
+
+TEST(WalSegmentTest, CrcMismatchIsATornTailAtEveryIsa) {
+  IsaGuard guard;
+  const std::vector<std::string> frames =
+      MakeReportFrames(TestSpec(), 8, 50, 28);
+  const std::string written = TempSegDir("wal_isa_crc");
+  kernels::ForceIsaForTest(kernels::Isa::kScalar);
+  BuildSegmentedLog(written, frames);
+  const std::vector<std::string> files = SegmentFiles(written);
+  ASSERT_GT(files.size(), 1u);
+
+  for (const kernels::Isa isa :
+       {kernels::Isa::kScalar, kernels::Isa::kAvx2, kernels::Isa::kAvx512}) {
+    // A fresh copy per tier: replay truncates the torn tail it finds.
+    const std::string dir =
+        TempSegDir(std::string("wal_isa_crc_") + kernels::IsaName(isa));
+    std::filesystem::copy(written, dir);
+    const std::string final_path = dir + "/" + files.back();
+    std::string bytes = ReadFileBytes(final_path);
+    ASSERT_GT(bytes.size(), serve::kWalHeaderBytes);
+    bytes[bytes.size() - 1] ^= 0x40;  // inside the last record's body
+    WriteFileBytes(final_path, bytes);
+
+    kernels::ForceIsaForTest(isa);
+    const LoggedSession restarted =
+        OpenLogged(dir, {.segment_bytes = kTestSegmentBytes});
+    ASSERT_TRUE(restarted.log.has_value());
+    EXPECT_EQ(restarted.stats.frames, frames.size() - 1)
+        << kernels::IsaName(isa);
+    EXPECT_EQ(restarted.stats.tail.code(), StatusCode::kOutOfRange)
+        << kernels::IsaName(isa);
+    EXPECT_NE(restarted.stats.tail.message().find("record CRC mismatch"),
+              std::string::npos)
+        << kernels::IsaName(isa) << ": " << restarted.stats.tail.ToString();
+    std::filesystem::remove_all(dir);
+  }
+  std::filesystem::remove_all(written);
 }
 
 }  // namespace
