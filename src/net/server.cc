@@ -12,6 +12,7 @@
 #include <utility>
 
 #include "common/executor.h"
+#include "protocol/sw_protocol.h"
 
 namespace numdist::net {
 
@@ -78,22 +79,14 @@ Result<std::unique_ptr<CollectorServer>> CollectorServer::Make(
   std::unique_ptr<CollectorServer> server(
       new CollectorServer(std::move(main), std::move(reactor), options));
   if (options.estimate_every_frames > 0 || options.estimate_every_ms > 0) {
-    if (spec.method != wire::MethodId::kSwEms &&
-        spec.method != wire::MethodId::kSwEm) {
+    // The protocol's own estimator: its output buckets are the
+    // accumulator's count layout by construction, and the model is not
+    // built a second time.
+    server->live_estimator_ = SwEstimatorOf(*server->main_.protocol());
+    if (server->live_estimator_ == nullptr) {
       return Status::InvalidArgument(
           "net: live estimation supports SW methods only");
     }
-    // Same spec -> estimator mapping the SW protocol uses, so the
-    // estimator's output buckets match the accumulator's count layout.
-    SwEstimatorOptions est_options;
-    est_options.epsilon = spec.epsilon;
-    est_options.d = spec.d;
-    est_options.post = spec.method == wire::MethodId::kSwEms
-                           ? SwEstimatorOptions::Post::kEms
-                           : SwEstimatorOptions::Post::kEm;
-    NUMDIST_ASSIGN_OR_RETURN(SwEstimator est, SwEstimator::Make(est_options));
-    server->live_estimator_ =
-        std::make_shared<const SwEstimator>(std::move(est));
     IncrementalOptions inc_options;
     inc_options.mode = options.estimate_half_life > 0.0
                            ? IncrementalOptions::Mode::kMiniBatch
@@ -108,21 +101,18 @@ Result<std::unique_ptr<CollectorServer>> CollectorServer::Make(
   }
   // One sub-aggregate per executor slot, created up front so absorption
   // can never fail on allocation mid-serve. ParallelFor's slot ids are
-  // always below slots().
+  // always below slots(). Every slot shares the main session's immutable
+  // protocol (one model per server, read concurrently), its ledger (tenant
+  // budgets cap the process-global spend no matter which slot absorbs a
+  // frame) and its dedup window (a re-sent sequenced frame is recognized
+  // no matter which slot claims it).
   const size_t slots = Executor::Shared().slots();
   server->sub_sessions_.reserve(slots);
   for (size_t s = 0; s < slots; ++s) {
-    NUMDIST_ASSIGN_OR_RETURN(serve::CollectorSession sub,
-                             serve::CollectorSession::Make(spec));
-    // Every slot shares the main session's ledger: tenant budgets cap
-    // the process-global spend no matter which slot absorbs a frame.
+    serve::CollectorSession sub = server->main_.MakeEmptyLike();
     sub.set_ledger(server->main_.ledger());
-    server->sub_sessions_.push_back(std::move(sub));
-  }
-  // Every slot also shares the main session's dedup window, so a re-sent
-  // sequenced frame is recognized no matter which slot claims it.
-  for (serve::CollectorSession& sub : server->sub_sessions_) {
     sub.set_sequence_tracker(server->main_.sequence_tracker());
+    server->sub_sessions_.push_back(std::move(sub));
   }
   if (!options.wal_path.empty()) {
     // Crash recovery happens here, before the first connection exists:
@@ -388,11 +378,10 @@ Status CollectorServer::ForwardToReplica(std::string_view frame) {
     }
     break;  // EAGAIN: nothing buffered
   }
-  std::string framed;
-  framed.reserve(sizeof(uint32_t) + frame.size());
-  serve::AppendFramePrefix(frame.size(), &framed);
-  framed.append(frame);
-  NUMDIST_RETURN_NOT_OK(WriteAll(replica_fd_.get(), framed));
+  // Prefix and frame in one gather write: the frame is not copied.
+  std::string prefix;
+  serve::AppendFramePrefix(frame.size(), &prefix);
+  NUMDIST_RETURN_NOT_OK(serve::WriteAllFd(replica_fd_.get(), prefix, frame));
   ++stats_.frames_replicated;
   return Status::OK();
 }
@@ -505,8 +494,7 @@ Status CollectorServer::MaybeCheckpointWal() {
   // into a scratch session so the serving accumulators stay untouched.
   // Merges are exact integers, so the checkpointed state is independent
   // of slot assignment and merge order.
-  NUMDIST_ASSIGN_OR_RETURN(serve::CollectorSession scratch,
-                           serve::CollectorSession::Make(spec()));
+  serve::CollectorSession scratch = main_.MakeEmptyLike();
   NUMDIST_RETURN_NOT_OK(scratch.AbsorbSession(main_));
   for (const serve::CollectorSession& sub : sub_sessions_) {
     NUMDIST_RETURN_NOT_OK(scratch.AbsorbSession(sub));

@@ -227,7 +227,8 @@ class CollectorServer {
   void SetTenantBudget(uint32_t tenant, serve::TenantBudget budget);
 
   /// The shared estimator behind live estimation (null unless a cadence
-  /// was configured). Sinks use it to build snapshot frames
+  /// was configured): the SW protocol's own (SwEstimatorOf), so the model
+  /// is built once per server. Sinks use it to build snapshot frames
   /// (StreamingAggregator::ForEstimator) matching the live counts.
   const std::shared_ptr<const SwEstimator>& live_estimator() const {
     return live_estimator_;

@@ -12,6 +12,8 @@
 #include <cstddef>
 #include <cstring>
 
+#include "serve/framing.h"
+
 namespace numdist::net {
 
 namespace {
@@ -193,16 +195,7 @@ Status SetNonBlocking(int fd) {
 }
 
 Status WriteAll(int fd, std::string_view bytes) {
-  size_t off = 0;
-  while (off < bytes.size()) {
-    const ssize_t wrote = write(fd, bytes.data() + off, bytes.size() - off);
-    if (wrote < 0) {
-      if (errno == EINTR) continue;
-      return Errno("write");
-    }
-    off += static_cast<size_t>(wrote);
-  }
-  return Status::OK();
+  return serve::WriteAllFd(fd, bytes);
 }
 
 }  // namespace numdist::net

@@ -88,7 +88,8 @@ Result<Fd> Dial(const Endpoint& endpoint);
 /// Switches an fd to non-blocking mode.
 Status SetNonBlocking(int fd);
 
-/// Writes all of `bytes` to a blocking fd (retrying short writes/EINTR).
+/// Writes all of `bytes` to a blocking fd (retrying short writes/EINTR;
+/// forwards to serve::WriteAllFd).
 Status WriteAll(int fd, std::string_view bytes);
 
 }  // namespace numdist::net

@@ -1,6 +1,7 @@
 #include "protocol/sw_protocol.h"
 
 #include <cmath>
+#include <memory>
 #include <utility>
 
 namespace numdist {
@@ -118,29 +119,33 @@ class SwAccumulator final : public Accumulator {
 
 class SwProtocol final : public Protocol {
  public:
-  explicit SwProtocol(SwEstimator estimator)
+  explicit SwProtocol(std::shared_ptr<const SwEstimator> estimator)
       : estimator_(std::move(estimator)),
-        name_(estimator_.options().post == SwEstimatorOptions::Post::kEms
+        name_(estimator_->options().post == SwEstimatorOptions::Post::kEms
                   ? "SW-EMS"
                   : "SW-EM") {}
 
+  const std::shared_ptr<const SwEstimator>& estimator() const {
+    return estimator_;
+  }
+
   const std::string& name() const override { return name_; }
   bool yields_distribution() const override { return true; }
-  size_t granularity() const override { return estimator_.options().d; }
+  size_t granularity() const override { return estimator_->options().d; }
 
   std::unique_ptr<Accumulator> MakeAccumulator() const override {
-    return std::make_unique<SwAccumulator>(&estimator_,
-                                           estimator_.output_buckets());
+    return std::make_unique<SwAccumulator>(estimator_.get(),
+                                           estimator_->output_buckets());
   }
 
   Result<std::unique_ptr<ReportChunk>> EncodePerturbBatch(
       std::span<const double> values, Rng& rng) const override {
     auto chunk = std::make_unique<SwChunk>();
-    chunk->output_buckets = estimator_.output_buckets();
+    chunk->output_buckets = estimator_->output_buckets();
     chunk->discrete =
-        estimator_.options().pipeline ==
+        estimator_->options().pipeline ==
         SwEstimatorOptions::Pipeline::kBucketizeBeforeRandomize;
-    estimator_.PerturbBatch(values, rng, &chunk->reports);
+    estimator_->PerturbBatch(values, rng, &chunk->reports);
     return std::unique_ptr<ReportChunk>(std::move(chunk));
   }
 
@@ -166,14 +171,14 @@ class SwProtocol final : public Protocol {
       return Status::InvalidArgument("SW: bad pipeline flag in chunk payload");
     }
     const bool expect_discrete =
-        estimator_.options().pipeline ==
+        estimator_->options().pipeline ==
         SwEstimatorOptions::Pipeline::kBucketizeBeforeRandomize;
     if ((discrete == 1) != expect_discrete) {
       return Status::InvalidArgument(
           "SW: chunk pipeline does not match this protocol");
     }
     NUMDIST_ASSIGN_OR_RETURN(const uint32_t buckets, in->U32());
-    if (buckets != estimator_.output_buckets()) {
+    if (buckets != estimator_->output_buckets()) {
       return Status::InvalidArgument(
           "SW: chunk output-bucket count does not match this protocol");
     }
@@ -210,7 +215,7 @@ class SwProtocol final : public Protocol {
     if (sw_acc->num_reports() == 0) {
       return Status::InvalidArgument("SW: no reports absorbed");
     }
-    Result<EmResult> em = estimator_.Reconstruct(sw_acc->counts());
+    Result<EmResult> em = estimator_->Reconstruct(sw_acc->counts());
     if (!em.ok()) return em.status();
     MethodOutput out;
     out.distribution = std::move(em).value().estimate;
@@ -219,7 +224,7 @@ class SwProtocol final : public Protocol {
   }
 
  private:
-  SwEstimator estimator_;
+  std::shared_ptr<const SwEstimator> estimator_;
   std::string name_;
 };
 
@@ -228,7 +233,13 @@ class SwProtocol final : public Protocol {
 Result<ProtocolPtr> MakeSwProtocol(const SwEstimatorOptions& options) {
   Result<SwEstimator> estimator = SwEstimator::Make(options);
   if (!estimator.ok()) return estimator.status();
-  return ProtocolPtr(new SwProtocol(std::move(estimator).value()));
+  return ProtocolPtr(new SwProtocol(
+      std::make_shared<const SwEstimator>(std::move(estimator).value())));
+}
+
+std::shared_ptr<const SwEstimator> SwEstimatorOf(const Protocol& protocol) {
+  const auto* sw = dynamic_cast<const SwProtocol*>(&protocol);
+  return sw == nullptr ? nullptr : sw->estimator();
 }
 
 }  // namespace numdist

@@ -137,15 +137,18 @@ void SequenceTracker::Restore(const std::vector<WalSeqEntry>& entries) {
 Result<CollectorSession> CollectorSession::Make(const wire::MethodSpec& spec) {
   NUMDIST_ASSIGN_OR_RETURN(ProtocolPtr protocol,
                            wire::MakeProtocolForSpec(spec));
-  std::unique_ptr<Accumulator> acc = protocol->MakeAccumulator();
-  return CollectorSession(spec, std::move(protocol), std::move(acc));
+  return CollectorSession(spec, std::move(protocol));
 }
 
-CollectorSession::CollectorSession(wire::MethodSpec spec, ProtocolPtr protocol,
-                                   std::unique_ptr<Accumulator> acc)
+CollectorSession CollectorSession::MakeEmptyLike() const {
+  return CollectorSession(spec_, protocol_);
+}
+
+CollectorSession::CollectorSession(wire::MethodSpec spec,
+                                   std::shared_ptr<const Protocol> protocol)
     : spec_(spec),
       protocol_(std::move(protocol)),
-      acc_(std::move(acc)),
+      acc_(protocol_->MakeAccumulator()),
       ledger_(std::make_shared<TenantLedger>()),
       tracker_(std::make_shared<SequenceTracker>()) {}
 

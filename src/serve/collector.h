@@ -154,10 +154,24 @@ struct FrameOutcome {
 /// \brief One collector (or coordinator) process's aggregation state.
 class CollectorSession {
  public:
-  /// Builds the protocol the spec describes and an empty accumulator.
+  /// Builds the protocol the spec describes (for SW, the d x d~
+  /// transition model) and an empty session over it. Build it once per
+  /// process: further sessions for the same spec come from MakeEmptyLike.
   static Result<CollectorSession> Make(const wire::MethodSpec& spec);
 
+  /// An empty session over this session's protocol: the same spec and
+  /// the same immutable protocol object (shared, not rebuilt), with a
+  /// fresh accumulator, its own ledger and its own dedup window. Cannot
+  /// fail. Protocols are const after construction, so sessions that share
+  /// one may absorb concurrently — the server's per-slot sub-sessions and
+  /// its checkpoint scratch session are made this way.
+  CollectorSession MakeEmptyLike() const;
+
   const wire::MethodSpec& spec() const { return spec_; }
+  /// The protocol this session encodes, decodes and reconstructs with.
+  const std::shared_ptr<const Protocol>& protocol() const {
+    return protocol_;
+  }
   /// Reports absorbed so far (report frames + merged sketch frames),
   /// across the default and every tenant accumulator.
   uint64_t num_reports() const;
@@ -239,8 +253,8 @@ class CollectorSession {
   Result<MethodOutput> Reconstruct() const;
 
  private:
-  CollectorSession(wire::MethodSpec spec, ProtocolPtr protocol,
-                   std::unique_ptr<Accumulator> acc);
+  CollectorSession(wire::MethodSpec spec,
+                   std::shared_ptr<const Protocol> protocol);
 
   /// The tenant's accumulator, or null when the tenant has none yet.
   Accumulator* FindTenant(uint32_t tenant);
@@ -253,7 +267,7 @@ class CollectorSession {
                      std::span<const uint8_t> frame);
 
   wire::MethodSpec spec_;
-  ProtocolPtr protocol_;
+  std::shared_ptr<const Protocol> protocol_;
   /// The default tenant's accumulator (untagged frames).
   std::unique_ptr<Accumulator> acc_;
   /// Lazily created per-tenant accumulators (tenant-tagged frames).

@@ -1,7 +1,11 @@
 #include "serve/framing.h"
 
+#include <sys/uio.h>
+
 #include <algorithm>
+#include <cerrno>
 #include <cstdint>
+#include <cstring>
 #include <istream>
 #include <ostream>
 
@@ -37,6 +41,33 @@ Status WriteFrame(std::ostream& out, std::string_view frame,
 
 void AppendFramePrefix(size_t frame_len, std::string* out) {
   ByteWriter(out).PutU32(static_cast<uint32_t>(frame_len));
+}
+
+Status WriteAllFd(int fd, std::string_view head, std::string_view body) {
+  iovec iov[2] = {{const_cast<char*>(head.data()), head.size()},
+                  {const_cast<char*>(body.data()), body.size()}};
+  size_t first = 0;  // first iovec with bytes left to write
+  while (first < 2) {
+    const ssize_t wrote =
+        writev(fd, iov + first, static_cast<int>(2 - first));
+    if (wrote < 0) {
+      if (errno == EINTR) continue;
+      return Status::Internal(std::string("framing: write failed (") +
+                              std::strerror(errno) + ")");
+    }
+    // Drop what was written: whole iovecs first, then a prefix of the
+    // next one.
+    size_t left = static_cast<size_t>(wrote);
+    while (first < 2 && left >= iov[first].iov_len) {
+      left -= iov[first].iov_len;
+      ++first;
+    }
+    if (first < 2) {
+      iov[first].iov_base = static_cast<char*>(iov[first].iov_base) + left;
+      iov[first].iov_len -= left;
+    }
+  }
+  return Status::OK();
 }
 
 Status ReadFrame(std::istream& in, std::string* frame, bool* eof,

@@ -37,6 +37,14 @@ Status WriteFrame(std::ostream& out, std::string_view frame,
 /// ceiling first.
 void AppendFramePrefix(size_t frame_len, std::string* out);
 
+/// Writes `head` and then `body` to a blocking fd as one gather write
+/// (writev), so a caller can put a small header in front of a large body
+/// without copying the body into a staging buffer. Short writes and EINTR
+/// are retried until every byte is written; any other error is Internal.
+/// The one write loop behind WAL records, the replication stream and
+/// net::WriteAll.
+Status WriteAllFd(int fd, std::string_view head, std::string_view body = {});
+
 /// Reads one length-prefixed frame into `*frame`.
 ///
 /// Returns OK with `*eof = true` (and `*frame` empty) on a clean end of

@@ -13,6 +13,7 @@
 
 #include "common/bytes.h"
 #include "common/crc32.h"
+#include "serve/framing.h"
 
 namespace numdist::serve {
 
@@ -21,19 +22,6 @@ namespace {
 Status Errno(const std::string& what) {
   return Status::Internal("wal: " + what + " failed (" +
                           std::strerror(errno) + ")");
-}
-
-Status WriteAllFd(int fd, std::string_view data) {
-  size_t off = 0;
-  while (off < data.size()) {
-    const ssize_t wrote = write(fd, data.data() + off, data.size() - off);
-    if (wrote < 0) {
-      if (errno == EINTR) continue;
-      return Errno("write");
-    }
-    off += static_cast<size_t>(wrote);
-  }
-  return Status::OK();
 }
 
 // Reads exactly `len` bytes unless EOF intervenes; returns bytes read.
@@ -349,15 +337,18 @@ WalWriter& WalWriter::operator=(WalWriter&& other) noexcept {
 }
 
 Status WalWriter::AppendFrame(std::string_view frame) {
-  std::string record;
-  record.reserve(8 + 1 + frame.size());
-  std::string body;
-  body.reserve(1 + frame.size());
-  ByteWriter(&body).PutU8(static_cast<uint8_t>(WalRecordType::kFrame));
-  body.append(frame);
-  AppendRecord(body, &record);
-  NUMDIST_RETURN_NOT_OK(WriteAllFd(fd_, record));
-  bytes_ += record.size();
+  // The record AppendRecord would build for body = type byte ‖ frame,
+  // without materialising the body: a 9-byte head (length, CRC chained
+  // over the type byte and then the frame, type byte) gather-written in
+  // front of the caller's frame bytes.
+  const char type = static_cast<char>(WalRecordType::kFrame);
+  std::string head;
+  ByteWriter writer(&head);
+  writer.PutU32(static_cast<uint32_t>(1 + frame.size()));
+  writer.PutU32(Crc32c(frame, Crc32c(&type, 1)));
+  writer.PutU8(static_cast<uint8_t>(type));
+  NUMDIST_RETURN_NOT_OK(WriteAllFd(fd_, head, frame));
+  bytes_ += head.size() + frame.size();
   if (options_.sync_each_record) return Sync();
   return Status::OK();
 }

@@ -156,7 +156,9 @@ class WalWriter {
   WalWriter(const WalWriter&) = delete;
   WalWriter& operator=(const WalWriter&) = delete;
 
-  /// Appends one accepted wire frame as a frame record.
+  /// Appends one accepted wire frame as a frame record: the 9-byte head
+  /// and the caller's frame go out in one gather write, without copying
+  /// the frame.
   Status AppendFrame(std::string_view frame);
 
   /// Log compaction: atomically replaces the whole log with one

@@ -291,6 +291,13 @@ TEST(LiveEstimateTest, SketchStaysByteIdenticalAndTicksAreMonotone) {
   EXPECT_GT(log.total_iterations, 0u);
   ASSERT_NE(server->incremental(), nullptr);
   EXPECT_EQ(server->incremental()->checkpoint().runs, log.count);
+  // The live estimator is the protocol's model for this spec.
+  ASSERT_NE(server->live_estimator(), nullptr);
+  EXPECT_EQ(server->live_estimator()->options().epsilon, spec.epsilon);
+  EXPECT_EQ(server->live_estimator()->options().d, spec.d);
+  EXPECT_EQ(server->live_estimator()->options().post,
+            SwEstimatorOptions::Post::kEms);
+  EXPECT_EQ(server->live_estimator()->output_buckets(), 32u);
 }
 
 }  // namespace

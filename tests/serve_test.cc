@@ -1,23 +1,34 @@
 // Collector service guarantees (serve/collector.h, serve/framing.h):
 // length-prefixed transport framing is strict (clean EOF vs mid-frame EOF
 // vs hostile length prefix), CollectorSession reproduces the in-process
-// sharded aggregate bit-for-bit from report + sketch frames, and the
+// sharded aggregate bit-for-bit from report + sketch frames, sibling
+// sessions over one shared protocol fold back to the same bytes, and the
 // exactly-once window survives the Export/Release race. The full
 // collector lifecycle over a byte stream (CollectorServer::AddStream)
 // lives in tests/net_test.cc.
 #include "serve/collector.h"
 
+#include <fcntl.h>
 #include <gtest/gtest.h>
+#include <pthread.h>
+#include <unistd.h>
 
+#include <atomic>
+#include <cerrno>
+#include <csignal>
 #include <cstring>
 #include <span>
 #include <sstream>
 #include <string>
+#include <string_view>
+#include <thread>
+#include <utility>
 #include <vector>
 
 #include "data/datasets.h"
 #include "eval/streaming.h"
 #include "protocol/sharded.h"
+#include "protocol/sw_protocol.h"
 #include "serve/framing.h"
 #include "wire/wire.h"
 
@@ -85,6 +96,65 @@ TEST(FramingTest, HostileLengthPrefixIsRejectedBeforeAllocation) {
   // Writers refuse the same ceiling.
   std::stringstream out;
   EXPECT_FALSE(serve::WriteFrame(out, "abc", /*max_bytes=*/2).ok());
+}
+
+void IgnoreSignal(int) {}
+
+// The gather-write loop behind WAL records and the replication stream
+// must put every byte of head and body on the fd in order, whichever of
+// them is empty or large, across short writes and EINTR. A small pipe
+// drained slowly while the writer is signalled (handler installed without
+// SA_RESTART) makes writev return short counts and EINTR over and over.
+TEST(FramingTest, WriteAllFdSurvivesShortWritesAndEintr) {
+  const auto pattern = [](size_t len, size_t salt) {
+    std::string bytes(len, '\0');
+    for (size_t j = 0; j < len; ++j) {
+      bytes[j] = static_cast<char>((salt * 131 + j * 7) & 0xFF);
+    }
+    return bytes;
+  };
+  const std::pair<std::string, std::string> writes[] = {
+      {pattern(9, 1), pattern(300000, 2)},
+      {"", pattern(100000, 3)},
+      {pattern(100000, 4), ""},
+      {pattern(7, 5), pattern(1, 6)},
+      {"", ""}};
+  std::string expected;
+  for (const auto& [head, body] : writes) expected += head + body;
+
+  struct sigaction action {};
+  struct sigaction previous {};
+  action.sa_handler = IgnoreSignal;
+  sigemptyset(&action.sa_mask);
+  ASSERT_EQ(sigaction(SIGUSR1, &action, &previous), 0);
+  int fds[2];
+  ASSERT_EQ(pipe(fds), 0);
+  (void)fcntl(fds[1], F_SETPIPE_SZ, 4096);
+
+  std::atomic<bool> writing{true};
+  Status written = Status::OK();
+  std::thread writer([&] {
+    for (const auto& [head, body] : writes) {
+      if (written.ok()) written = serve::WriteAllFd(fds[1], head, body);
+    }
+    writing.store(false);
+    close(fds[1]);
+  });
+  std::string received;
+  char buf[1500];
+  for (;;) {
+    if (writing.load()) pthread_kill(writer.native_handle(), SIGUSR1);
+    const ssize_t got = read(fds[0], buf, sizeof(buf));
+    if (got < 0 && errno == EINTR) continue;
+    if (got <= 0) break;
+    received.append(buf, static_cast<size_t>(got));
+  }
+  writer.join();
+  close(fds[0]);
+  sigaction(SIGUSR1, &previous, nullptr);
+  EXPECT_TRUE(written.ok()) << written.ToString();
+  EXPECT_EQ(received.size(), expected.size());
+  EXPECT_TRUE(received == expected);
 }
 
 TEST(CollectorSessionTest, DistributedRunMatchesInProcessShardedRun) {
@@ -315,6 +385,162 @@ TEST(CollectorSessionTest, DefaultTenantBudgetCapsUntaggedFrames) {
       TenantReportFrame(spec, *protocol, wire::kDefaultTenant, 64, 13));
   EXPECT_EQ(over.code(), StatusCode::kFailedPrecondition) << over.ToString();
   EXPECT_EQ(session.num_reports(), 64u);
+}
+
+// ---------------------------------------------------------------------------
+// Sibling sessions (CollectorSession::MakeEmptyLike): one immutable
+// protocol, built once, under any number of sessions that each own their
+// accumulators, ledger and dedup window. The server's per-slot
+// sub-sessions and its checkpoint scratch session are built this way, so
+// spreading frames over siblings and folding them back must be
+// byte-identical to one session absorbing everything.
+
+// `count` seeded report frames of `reports` each; a nonzero `tenants`
+// tags frame i with tenant 1 + i % tenants, and every frame carries
+// sequence context (epoch 5, seq i + 1).
+std::vector<std::string> SiblingFrames(const wire::MethodSpec& spec,
+                                       const Protocol& protocol, size_t count,
+                                       size_t reports, uint32_t tenants) {
+  std::vector<std::string> frames;
+  for (size_t i = 0; i < count; ++i) {
+    const uint32_t tenant =
+        tenants == 0 ? wire::kDefaultTenant
+                     : 1 + static_cast<uint32_t>(i % tenants);
+    std::string frame = TenantReportFrame(spec, protocol, tenant, reports,
+                                          /*seed=*/40 + i);
+    EXPECT_TRUE(
+        wire::StampSequenceContext(&frame, {.epoch = 5, .seq = i + 1}).ok());
+    frames.push_back(std::move(frame));
+  }
+  return frames;
+}
+
+TEST(CollectorSessionTest, EmptyLikeSharesTheProtocolAndOwnsItsState) {
+  const auto spec = wire::ParseMethodSpec("sw-ems", 1.0, 32).ValueOrDie();
+  auto session = serve::CollectorSession::Make(spec).ValueOrDie();
+  const std::vector<std::string> frames =
+      SiblingFrames(spec, *session.protocol(), 2, 100, /*tenants=*/1);
+  session.SetTenantBudget(1, {.max_reports = 100});
+  ASSERT_TRUE(session.HandleFrame(frames[0]).ok());
+
+  const auto empty = serve::CollectorSession::Make(spec).ValueOrDie();
+  serve::CollectorSession sibling = session.MakeEmptyLike();
+  // The same protocol object (and so the same SW model), not a rebuild.
+  EXPECT_EQ(sibling.protocol().get(), session.protocol().get());
+  ASSERT_NE(SwEstimatorOf(*session.protocol()), nullptr);
+  EXPECT_EQ(SwEstimatorOf(*sibling.protocol()).get(),
+            SwEstimatorOf(*session.protocol()).get());
+  EXPECT_EQ(sibling.spec().method, spec.method);
+  // Fresh state: nothing of the parent's aggregate, tenants or window.
+  EXPECT_EQ(sibling.num_reports(), 0u);
+  EXPECT_TRUE(sibling.TenantIds().empty());
+  EXPECT_EQ(sibling.EncodeSketches().ValueOrDie(),
+            empty.EncodeSketches().ValueOrDie());
+  EXPECT_NE(sibling.ledger().get(), session.ledger().get());
+  EXPECT_NE(sibling.sequence_tracker().get(),
+            session.sequence_tracker().get());
+
+  // Its own dedup window: the parent's claimed (epoch, seq) absorbs here.
+  serve::FrameOutcome outcome;
+  ASSERT_TRUE(sibling.HandleFrame(frames[0], &outcome).ok());
+  EXPECT_TRUE(outcome.absorbed);
+  EXPECT_FALSE(outcome.duplicate);
+  // Its own ledger: the parent's tenant-1 budget is spent, not this one's.
+  EXPECT_EQ(session.HandleFrame(frames[1]).code(),
+            StatusCode::kFailedPrecondition);
+  EXPECT_TRUE(sibling.HandleFrame(frames[1]).ok());
+  EXPECT_EQ(sibling.ledger()->spent_reports(1), 200u);
+  EXPECT_EQ(session.ledger()->spent_reports(1), 100u);
+  // Its own accumulators: the parent did not move.
+  EXPECT_EQ(session.num_reports(), 100u);
+  EXPECT_EQ(sibling.num_reports(), 200u);
+
+  // A non-SW protocol has no SW model to share.
+  const auto cfo_spec =
+      wire::ParseMethodSpec("cfo-grr-16", 1.0, 32).ValueOrDie();
+  const auto cfo = serve::CollectorSession::Make(cfo_spec).ValueOrDie();
+  EXPECT_EQ(SwEstimatorOf(*cfo.protocol()), nullptr);
+  EXPECT_EQ(cfo.MakeEmptyLike().protocol().get(), cfo.protocol().get());
+}
+
+TEST(CollectorSessionTest, SiblingSessionsFoldBackToTheSingleSessionBytes) {
+  const auto spec = wire::ParseMethodSpec("sw-ems", 1.0, 32).ValueOrDie();
+  for (const uint32_t tenants : {0u, 3u}) {
+    SCOPED_TRACE(testing::Message() << "tenants=" << tenants);
+    auto reference = serve::CollectorSession::Make(spec).ValueOrDie();
+    const std::vector<std::string> frames =
+        SiblingFrames(spec, *reference.protocol(), 12, 150, tenants);
+    for (const std::string& frame : frames) {
+      ASSERT_TRUE(reference.HandleFrame(frame).ok());
+    }
+
+    // The server's shape: a main session plus siblings sharing its
+    // ledger and window, frames spread over the siblings, folded back.
+    auto main = serve::CollectorSession::Make(spec).ValueOrDie();
+    std::vector<serve::CollectorSession> siblings;
+    for (size_t s = 0; s < 3; ++s) {
+      siblings.push_back(main.MakeEmptyLike());
+      siblings.back().set_ledger(main.ledger());
+      siblings.back().set_sequence_tracker(main.sequence_tracker());
+    }
+    for (size_t i = 0; i < frames.size(); ++i) {
+      ASSERT_TRUE(siblings[(i * 7) % siblings.size()].HandleFrame(frames[i])
+                      .ok());
+    }
+    for (const serve::CollectorSession& sibling : siblings) {
+      ASSERT_TRUE(main.AbsorbSession(sibling).ok());
+    }
+    EXPECT_EQ(main.num_reports(), reference.num_reports());
+    EXPECT_EQ(main.EncodeSketches().ValueOrDie(),
+              reference.EncodeSketches().ValueOrDie());
+    EXPECT_EQ(main.EncodeSketch().ValueOrDie(),
+              reference.EncodeSketch().ValueOrDie());
+  }
+}
+
+TEST(CollectorSessionTest, SiblingCheckpointReplaysToIdenticalBytes) {
+  const auto spec = wire::ParseMethodSpec("sw-ems", 1.0, 32).ValueOrDie();
+  for (const uint32_t tenants : {0u, 2u}) {
+    SCOPED_TRACE(testing::Message() << "tenants=" << tenants);
+    auto main = serve::CollectorSession::Make(spec).ValueOrDie();
+    const std::vector<std::string> frames =
+        SiblingFrames(spec, *main.protocol(), 9, 120, tenants);
+    auto reference = serve::CollectorSession::Make(spec).ValueOrDie();
+    for (const std::string& frame : frames) {
+      ASSERT_TRUE(reference.HandleFrame(frame).ok());
+    }
+
+    // Mid-serve state: some frames on the main session, the rest on two
+    // siblings, none folded yet.
+    std::vector<serve::CollectorSession> siblings;
+    siblings.push_back(main.MakeEmptyLike());
+    siblings.push_back(main.MakeEmptyLike());
+    for (size_t i = 0; i < frames.size(); ++i) {
+      serve::CollectorSession& target =
+          i % 3 == 0 ? main : siblings[i % 3 - 1];
+      ASSERT_TRUE(target.HandleFrame(frames[i]).ok());
+    }
+    // The checkpoint path: gather into a scratch sibling, leaving the
+    // serving sessions untouched.
+    serve::CollectorSession scratch = main.MakeEmptyLike();
+    ASSERT_TRUE(scratch.AbsorbSession(main).ok());
+    for (const serve::CollectorSession& sibling : siblings) {
+      ASSERT_TRUE(scratch.AbsorbSession(sibling).ok());
+    }
+    const std::vector<std::string> checkpoint =
+        scratch.EncodeSketches().ValueOrDie();
+    EXPECT_EQ(checkpoint, reference.EncodeSketches().ValueOrDie());
+    EXPECT_LT(main.num_reports(), reference.num_reports());
+
+    // Replay into a freshly built session and into another sibling.
+    auto restored = serve::CollectorSession::Make(spec).ValueOrDie();
+    ASSERT_TRUE(restored.ResetToSketches(checkpoint).ok());
+    EXPECT_EQ(restored.EncodeSketches().ValueOrDie(), checkpoint);
+    serve::CollectorSession restored_sibling = main.MakeEmptyLike();
+    ASSERT_TRUE(restored_sibling.ResetToSketches(checkpoint).ok());
+    EXPECT_EQ(restored_sibling.EncodeSketches().ValueOrDie(), checkpoint);
+    EXPECT_EQ(restored_sibling.num_reports(), reference.num_reports());
+  }
 }
 
 // ---------------------------------------------------------------------------

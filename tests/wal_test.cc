@@ -20,6 +20,7 @@
 #include <string>
 #include <vector>
 
+#include "common/crc32.h"
 #include "data/datasets.h"
 #include "kernels/kernels.h"
 #include "protocol/sharded.h"
@@ -712,6 +713,53 @@ TEST(WalSegmentTest, LogBytesAndReplayAreIdenticalAcrossIsas) {
   }
   std::filesystem::remove_all(scalar_dir);
   std::filesystem::remove_all(best_dir);
+}
+
+// Known answer for the on-disk frame record, independent of the
+// writer/reader pair: the writer gather-writes a 9-byte head in front of
+// the caller's frame, and the file must equal a log built by hand from the
+// format spec — header, then per frame u32 length, u32 CRC-32C of the
+// body, body = type byte 1 followed by the frame — with each body
+// concatenated into one string before it is checksummed.
+TEST(WalTest, FrameRecordsMatchAHandBuiltLogAtEveryIsa) {
+  IsaGuard guard;
+  std::vector<std::string> frames;
+  for (const size_t len : {size_t{0}, size_t{1}, size_t{7}, size_t{32768}}) {
+    std::string frame(len, '\0');
+    for (size_t i = 0; i < len; ++i) {
+      frame[i] = static_cast<char>((i * 131 + len) & 0xFF);
+    }
+    frames.push_back(std::move(frame));
+  }
+  const auto put_u32 = [](uint32_t v, std::string* out) {
+    for (int shift = 0; shift < 32; shift += 8) {
+      out->push_back(static_cast<char>((v >> shift) & 0xFF));
+    }
+  };
+  std::string expected("NDWL\x01\x00\x00\x00", 8);
+  for (const std::string& frame : frames) {
+    const std::string body = std::string(1, '\x01') + frame;
+    put_u32(static_cast<uint32_t>(body.size()), &expected);
+    put_u32(Crc32c(body), &expected);
+    expected += body;
+  }
+
+  for (const kernels::Isa isa : {kernels::Isa::kScalar, kBestIsa}) {
+    kernels::ForceIsaForTest(isa);
+    const std::string path = TempPath(std::string("wal_known_answer_") +
+                                      kernels::IsaName(isa) + ".ndwl");
+    std::remove(path.c_str());
+    {
+      serve::WalLog log = serve::WalLog::Open(path, {}, {}).ValueOrDie();
+      for (const std::string& frame : frames) {
+        const Status st = log.AppendFrame(frame);
+        ASSERT_TRUE(st.ok()) << st.ToString();
+      }
+    }
+    EXPECT_EQ(ReadFileBytes(path), expected)
+        << "written under " << kernels::IsaName(kernels::ActiveIsa());
+    std::remove(path.c_str());
+  }
 }
 
 TEST(WalSegmentTest, CrcMismatchIsATornTailAtEveryIsa) {
