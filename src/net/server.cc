@@ -102,16 +102,14 @@ Result<std::unique_ptr<CollectorServer>> CollectorServer::Make(
   // One sub-aggregate per executor slot, created up front so absorption
   // can never fail on allocation mid-serve. ParallelFor's slot ids are
   // always below slots(). Every slot shares the main session's immutable
-  // protocol (one model per server, read concurrently), its ledger (tenant
-  // budgets cap the process-global spend no matter which slot absorbs a
-  // frame) and its dedup window (a re-sent sequenced frame is recognized
-  // no matter which slot claims it).
+  // protocol (one model per server, read concurrently) and its ledger
+  // (tenant budgets cap the process-global spend no matter which slot
+  // absorbs a frame). Slots never claim: the dedup window is main_'s.
   const size_t slots = Executor::Shared().slots();
   server->sub_sessions_.reserve(slots);
   for (size_t s = 0; s < slots; ++s) {
     serve::CollectorSession sub = server->main_.MakeEmptyLike();
     sub.set_ledger(server->main_.ledger());
-    sub.set_sequence_tracker(server->main_.sequence_tracker());
     server->sub_sessions_.push_back(std::move(sub));
   }
   if (!options.wal_path.empty()) {
@@ -389,29 +387,44 @@ Status CollectorServer::ForwardToReplica(std::string_view frame) {
 void CollectorServer::AbsorbPending() {
   if (pending_.empty()) return;
   const size_t n = pending_.size();
+  // HandleFrame's steps over the batch. Claims run serially in batch order
+  // on main_'s window, so a re-send always sits after its claimer.
+  std::vector<wire::FrameInfo> infos(n);
+  std::vector<char> claimed(n);  // frame i is to be absorbed
   std::vector<Status> statuses(n);
-  std::vector<serve::FrameOutcome> outcomes(n);
+  for (size_t i = 0; i < n; ++i) {
+    const Result<bool> claim =
+        main_.ClaimFrame(wire::FrameBytes(pending_[i].frame), &infos[i]);
+    statuses[i] = claim.status();
+    claimed[i] = claim.ok() && claim.value();
+  }
   Executor::Shared().ParallelFor(
       n, options_.max_parallelism, [&](size_t task, size_t slot) {
-        statuses[task] = sub_sessions_[slot].HandleFrame(pending_[task].frame,
-                                                         &outcomes[task]);
+        if (!claimed[task]) return;
+        statuses[task] = sub_sessions_[slot].AbsorbFrame(
+            infos[task], wire::FrameBytes(pending_[task].frame));
       });
+  // Every failed claim is released before the window advances past it.
+  for (size_t i = 0; i < n; ++i) {
+    if (claimed[i] && !statuses[i].ok()) main_.ReleaseClaim(infos[i]);
+  }
+  main_.sequence_tracker()->Advance();
   const Clock::time_point done = Clock::now();
   size_t durable = n;
   for (size_t i = 0; i < n; ++i) {
     PendingFrame& pf = pending_[i];
     pf.conn->inflight_bytes -= pf.frame.size();
     if (statuses[i].ok()) {
-      if (outcomes[i].duplicate) {
+      if (!claimed[i]) {
         ++stats_.duplicates;
       } else {
         ++stats_.frames_absorbed;
-      }
-      if (options_.record_latency && !outcomes[i].duplicate) {
-        stats_.latency_ns.push_back(static_cast<uint64_t>(
-            std::chrono::duration_cast<std::chrono::nanoseconds>(
-                done - pf.decoded_at)
-                .count()));
+        if (options_.record_latency) {
+          stats_.latency_ns.push_back(static_cast<uint64_t>(
+              std::chrono::duration_cast<std::chrono::nanoseconds>(
+                  done - pf.decoded_at)
+                  .count()));
+        }
       }
     } else {
       // A stream's bad frame fails Run, so the durable prefix (below)
@@ -442,7 +455,7 @@ void CollectorServer::AbsorbPending() {
       // aggregate is byte-identical regardless of batching. Duplicates
       // never reach the log — replay would double-claim their ids.
       for (size_t i = 0; i < durable; ++i) {
-        if (!statuses[i].ok() || outcomes[i].duplicate) continue;
+        if (!claimed[i] || !statuses[i].ok()) continue;
         const Status appended = wal_->AppendFrame(pending_[i].frame);
         if (!appended.ok()) {
           wal_status_ = appended;
@@ -461,7 +474,7 @@ void CollectorServer::AbsorbPending() {
       // WAL rejected must not reach the standby either, or a failover
       // would serve state the acknowledged stream never contained.
       for (size_t i = 0; i < durable; ++i) {
-        if (!statuses[i].ok() || outcomes[i].duplicate) continue;
+        if (!claimed[i] || !statuses[i].ok()) continue;
         const Status forwarded = ForwardToReplica(pending_[i].frame);
         if (!forwarded.ok()) {
           replica_status_ = forwarded;
@@ -473,8 +486,13 @@ void CollectorServer::AbsorbPending() {
   }
   if (options_.send_acks) {
     for (size_t i = 0; i < durable; ++i) {
-      if (!statuses[i].ok() || !outcomes[i].has_seq) continue;
-      QueueAck(pending_[i].conn, outcomes[i].seq);
+      // Only ids still claimed are acked: a re-send of a frame that
+      // failed in this batch finds its id released.
+      const wire::FrameInfo& info = infos[i];
+      if (statuses[i].ok() && info.has_seq &&
+          main_.sequence_tracker()->Claimed(info.seq.epoch, info.seq.seq)) {
+        QueueAck(pending_[i].conn, info.seq);
+      }
     }
   }
   for (size_t i = 0; i < n; ++i) {

@@ -6,8 +6,14 @@
 //   epoll_wait ─▶ accept / read ready sockets (bounded bytes per round)
 //              ─▶ FrameDecoder reassembles u32-prefixed frames incrementally
 //              ─▶ completed frames queue as one batch
-//              ─▶ Executor::Shared().ParallelFor absorbs the batch into
-//                 per-slot CollectorSessions (no locks, no contention)
+//              ─▶ claim (serial): the main session's dedup window
+//                 claims each frame's (epoch, seq) in batch order
+//              ─▶ absorb (parallel): Executor::Shared().ParallelFor folds
+//                 the claimed frames into per-slot CollectorSessions
+//              ─▶ release failed claims, then advance the window (serial)
+//
+// These are CollectorSession::HandleFrame's steps run over a batch: the
+// window needs no lock, and sub-sessions never claim.
 //
 // Determinism: which connection a frame arrived on, how reads interleave,
 // how batches are cut, and which executor slot absorbs a frame are all
@@ -169,7 +175,8 @@ struct ServerStats {
   /// Connections dropped on a typed frame/decode error (the error is in
   /// `first_error`; the server keeps serving everyone else).
   uint64_t connection_errors = 0;
-  /// Sequenced frames skipped as already-claimed duplicates (still acked).
+  /// Sequenced frames skipped as already-claimed duplicates (acked again
+  /// unless the frame that claimed the id failed in the same batch).
   uint64_t duplicates = 0;
   /// Ack frames queued to clients (absorbed + duplicate sequenced frames).
   uint64_t acks_queued = 0;

@@ -57,63 +57,42 @@ void TenantLedger::SetSpent(uint32_t tenant, uint64_t num_reports) {
 }
 
 bool SequenceTracker::Claim(uint64_t epoch, uint64_t seq) {
-  std::lock_guard<std::mutex> lock(mu_);
   Window& window = windows_[epoch];
-  if (seq <= window.floor) {
-    // Normally a duplicate — unless this claim was released after an
-    // Export folded it into the floor (the absorb was in flight on
-    // another slot and later failed). Such a hole lives in `released`;
-    // claiming it closes the hole again.
-    return window.released.erase(seq) > 0;
-  }
-  return window.sparse.insert(seq).second;
+  if (seq <= window.floor || !window.sparse.insert(seq).second) return false;
+  if (seq == window.floor + 1) foldable_.push_back(epoch);
+  return true;
+}
+
+bool SequenceTracker::Claimed(uint64_t epoch, uint64_t seq) const {
+  const auto it = windows_.find(epoch);
+  return it != windows_.end() &&
+         (seq <= it->second.floor || it->second.sparse.contains(seq));
 }
 
 void SequenceTracker::Release(uint64_t epoch, uint64_t seq) {
-  std::lock_guard<std::mutex> lock(mu_);
   const auto it = windows_.find(epoch);
-  if (it == windows_.end()) return;
-  Window& window = it->second;
-  if (seq <= window.floor) {
-    // An Export folded this claim into the floor while its absorb was
-    // still in flight. The floor cannot move back (seqs between are
-    // genuinely absorbed), so record the hole: the client's retry is
-    // accepted through Claim, and the next Export re-opens the window
-    // below it so a checkpoint never persists the frame as absorbed.
-    window.released.insert(seq);
-  } else {
-    window.sparse.erase(seq);
+  if (it != windows_.end()) it->second.sparse.erase(seq);
+}
+
+void SequenceTracker::Fold(Window* window) {
+  while (!window->sparse.empty() &&
+         *window->sparse.begin() == window->floor + 1) {
+    ++window->floor;
+    window->sparse.erase(window->sparse.begin());
   }
 }
 
+void SequenceTracker::Advance() {
+  for (const uint64_t epoch : foldable_) Fold(&windows_[epoch]);
+  foldable_.clear();
+}
+
 std::vector<WalSeqEntry> SequenceTracker::Export() {
-  std::lock_guard<std::mutex> lock(mu_);
+  foldable_.clear();
   std::vector<WalSeqEntry> entries;
   entries.reserve(windows_.size());
   for (auto& [epoch, window] : windows_) {
-    // Un-fold any holes a Release punched below the floor since the last
-    // Export: drop the floor to just under the lowest hole and lift the
-    // still-absorbed seqs above it back into the sparse set. The
-    // exported window then claims exactly the frames that were actually
-    // absorbed, holes excluded. (Releases land at most a batch below the
-    // floor, so this loop is short.)
-    if (!window.released.empty()) {
-      const uint64_t new_floor = *window.released.begin() - 1;
-      for (uint64_t seq = new_floor + 1; seq <= window.floor; ++seq) {
-        if (!window.released.contains(seq)) window.sparse.insert(seq);
-      }
-      window.floor = new_floor;
-      window.released.clear();
-    }
-    // Compress: fold the contiguous run above the floor into the floor.
-    // Claim/Release never raise the floor, and a release below it is
-    // re-opened above, so a parallel absorb slot releasing a failed
-    // claim cannot be lost to this advance.
-    while (!window.sparse.empty() &&
-           *window.sparse.begin() == window.floor + 1) {
-      ++window.floor;
-      window.sparse.erase(window.sparse.begin());
-    }
+    Fold(&window);
     if (window.floor == 0 && window.sparse.empty()) continue;
     WalSeqEntry entry;
     entry.epoch = epoch;
@@ -125,8 +104,8 @@ std::vector<WalSeqEntry> SequenceTracker::Export() {
 }
 
 void SequenceTracker::Restore(const std::vector<WalSeqEntry>& entries) {
-  std::lock_guard<std::mutex> lock(mu_);
   windows_.clear();
+  foldable_.clear();
   for (const WalSeqEntry& entry : entries) {
     Window& window = windows_[entry.epoch];
     window.floor = entry.floor;
@@ -149,8 +128,7 @@ CollectorSession::CollectorSession(wire::MethodSpec spec,
     : spec_(spec),
       protocol_(std::move(protocol)),
       acc_(protocol_->MakeAccumulator()),
-      ledger_(std::make_shared<TenantLedger>()),
-      tracker_(std::make_shared<SequenceTracker>()) {}
+      ledger_(std::make_shared<TenantLedger>()) {}
 
 uint64_t CollectorSession::num_reports() const {
   uint64_t total = acc_->num_reports();
@@ -168,33 +146,32 @@ const Accumulator* CollectorSession::FindTenant(uint32_t tenant) const {
   return it == tenants_.end() ? nullptr : it->second.get();
 }
 
-Status CollectorSession::HandleFrame(std::span<const uint8_t> frame,
-                                     FrameOutcome* outcome) {
-  NUMDIST_ASSIGN_OR_RETURN(const wire::FrameInfo info, wire::PeekFrame(frame));
-  if (outcome != nullptr) {
-    *outcome = FrameOutcome{};
-    outcome->has_seq = info.has_seq;
-    outcome->seq = info.seq;
-  }
-  if (info.type == wire::FrameType::kAck) {
+Status CollectorSession::HandleFrame(std::span<const uint8_t> frame) {
+  wire::FrameInfo info;
+  NUMDIST_ASSIGN_OR_RETURN(const bool claimed, ClaimFrame(frame, &info));
+  if (!claimed) return Status::OK();  // a duplicate re-send: skip it
+  const Status absorbed = AbsorbFrame(info, frame);
+  if (!absorbed.ok()) ReleaseClaim(info);
+  tracker_.Advance();
+  return absorbed;
+}
+
+Status CollectorSession::HandleFrame(std::string_view frame) {
+  return HandleFrame(wire::FrameBytes(frame));
+}
+
+Result<bool> CollectorSession::ClaimFrame(std::span<const uint8_t> frame,
+                                          wire::FrameInfo* info) {
+  NUMDIST_ASSIGN_OR_RETURN(*info, wire::PeekFrame(frame));
+  if (info->type == wire::FrameType::kAck) {
     return Status::InvalidArgument(
         "collector: ack frames flow collector -> client, not as input");
   }
-  // The exactly-once window: claim the (epoch, seq) before doing any
-  // work. A failed claim is a duplicate re-send — succeed without
-  // touching anything so the caller re-acks it. A failed absorb rolled
-  // everything back, so its claim reopens for the client's retry.
-  if (info.has_seq && !tracker_->Claim(info.seq.epoch, info.seq.seq)) {
-    if (outcome != nullptr) outcome->duplicate = true;
-    return Status::OK();
-  }
-  const Status absorbed = AbsorbFrame(info, frame);
-  if (!absorbed.ok()) {
-    if (info.has_seq) tracker_->Release(info.seq.epoch, info.seq.seq);
-    return absorbed;
-  }
-  if (outcome != nullptr) outcome->absorbed = true;
-  return Status::OK();
+  return !info->has_seq || tracker_.Claim(info->seq.epoch, info->seq.seq);
+}
+
+void CollectorSession::ReleaseClaim(const wire::FrameInfo& info) {
+  if (info.has_seq) tracker_.Release(info.seq.epoch, info.seq.seq);
 }
 
 Status CollectorSession::AbsorbFrame(const wire::FrameInfo& info,
@@ -244,16 +221,11 @@ Status CollectorSession::AbsorbFrame(const wire::FrameInfo& info,
           "collector: snapshot frames belong to the scenario checkpoint "
           "path, not a protocol collector");
     case wire::FrameType::kAck:
-      // HandleFrame rejects acks before claiming; unreachable here.
+      // ClaimFrame rejects acks; unreachable here.
       return Status::InvalidArgument(
           "collector: ack frames flow collector -> client, not as input");
   }
   return Status::InvalidArgument("collector: unknown frame type");
-}
-
-Status CollectorSession::HandleFrame(std::string_view frame,
-                                     FrameOutcome* outcome) {
-  return HandleFrame(wire::FrameBytes(frame), outcome);
 }
 
 Result<std::unique_ptr<Accumulator>> CollectorSession::MergedTotal() const {
@@ -333,11 +305,6 @@ void CollectorSession::set_ledger(std::shared_ptr<TenantLedger> ledger) {
   if (ledger != nullptr) ledger_ = std::move(ledger);
 }
 
-void CollectorSession::set_sequence_tracker(
-    std::shared_ptr<SequenceTracker> tracker) {
-  if (tracker != nullptr) tracker_ = std::move(tracker);
-}
-
 Status CollectorSession::AbsorbSession(const CollectorSession& other) {
   NUMDIST_RETURN_NOT_OK(acc_->Merge(*other.acc_));
   for (const auto& [tenant, acc] : other.tenants_) {
@@ -403,7 +370,7 @@ Result<WalLog> CollectorSession::OpenWal(const std::string& path,
   };
   consumer.on_seq_checkpoint =
       [this](const std::vector<WalSeqEntry>& entries) {
-        tracker_->Restore(entries);
+        tracker_.Restore(entries);
         return Status::OK();
       };
   return WalLog::Open(path, options, consumer);

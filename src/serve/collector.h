@@ -96,31 +96,33 @@ class TenantLedger {
   std::map<uint32_t, Entry> entries_;
 };
 
-/// \brief Thread-safe exactly-once window over (epoch, seq) frame ids,
-/// shared across every CollectorSession of one collector process (like
-/// the TenantLedger, so the event-loop server's parallel sub-sessions
-/// dedup against one global window).
+/// \brief Exactly-once window over (epoch, seq) frame ids. Single-threaded:
+/// each session owns its own, and every call runs serially — on the
+/// event-loop server's reactor thread (which claims for every executor
+/// slot) or inside a WAL replay.
 ///
-/// Per epoch the window is a floor (every seq <= floor absorbed) plus a
-/// sparse set above it. Claim/Release only touch the sparse set; the
-/// floor advances in Export, which call sites run single-threaded
-/// between absorption batches. Defense in depth for the remaining race
-/// (an Export folding a claim whose absorb is still in flight on
-/// another slot): a Release at or below the floor records the seq as a
-/// hole that Claim re-accepts and the next Export re-opens the window
-/// around, so a failed absorb can never strand its client's retry as a
-/// false duplicate.
+/// Per epoch the window is a floor (every seq <= floor claimed) plus a
+/// sparse set above it. Claim and Release touch only the sparse set;
+/// Advance folds the contiguous run above a floor into it. A failed
+/// absorb releases its claim before the next Advance, so a release never
+/// lands below a floor.
 class SequenceTracker {
  public:
   /// Claims (epoch, seq): true when first seen (the caller absorbs the
   /// frame), false when already claimed (the frame is a duplicate re-send
   /// — skip it, but ack it again).
   bool Claim(uint64_t epoch, uint64_t seq);
+  /// Whether (epoch, seq) is claimed now.
+  bool Claimed(uint64_t epoch, uint64_t seq) const;
   /// Rolls back a claim whose absorb failed, so the client's re-send is
-  /// accepted.
+  /// accepted. Only valid before the Advance that follows the claim.
   void Release(uint64_t epoch, uint64_t seq);
-  /// Compressed snapshot (floors advanced through contiguous sparse runs)
-  /// for WAL checkpointing; empty when nothing was ever claimed.
+  /// Folds the windows claimed into since the last Advance: the sparse
+  /// sets then hold only the seqs above a gap.
+  void Advance();
+  /// Compressed snapshot (every floor advanced through its contiguous
+  /// sparse run) for WAL checkpointing; empty when nothing was ever
+  /// claimed.
   std::vector<WalSeqEntry> Export();
   /// RESETS the window to a checkpointed snapshot.
   void Restore(const std::vector<WalSeqEntry>& entries);
@@ -129,26 +131,13 @@ class SequenceTracker {
   struct Window {
     uint64_t floor = 0;
     std::set<uint64_t> sparse;
-    /// Claims released at or below the floor (a failed absorb racing an
-    /// Export fold): holes in the window until re-claimed or exported.
-    std::set<uint64_t> released;
   };
-  mutable std::mutex mu_;
-  std::map<uint64_t, Window> windows_;
-};
+  static void Fold(Window* window);
 
-/// What HandleFrame did with one frame, for callers that acknowledge
-/// sequenced frames (the event-loop server).
-struct FrameOutcome {
-  /// The frame mutated the aggregate (decoded, charged, absorbed).
-  bool absorbed = false;
-  /// An already-claimed (epoch, seq): nothing was absorbed, but the frame
-  /// must be acked again — the client's ack was lost, not the frame.
-  bool duplicate = false;
-  /// The frame carried a sequence context (duplicates and absorbed
-  /// sequenced frames both get an ack for `seq`).
-  bool has_seq = false;
-  wire::FrameSeq seq;
+  std::map<uint64_t, Window> windows_;
+  /// Epochs whose floor + 1 was claimed since the last Advance: the only
+  /// windows an Advance can fold.
+  std::vector<uint64_t> foldable_;
 };
 
 /// \brief One collector (or coordinator) process's aggregation state.
@@ -182,11 +171,27 @@ class CollectorSession {
   /// Snapshot, ack, malformed, and over-budget frames are typed errors; a
   /// failed frame leaves every accumulator, the ledger, and the dedup
   /// window untouched. A sequenced frame whose (epoch, seq) was already
-  /// claimed is a DUPLICATE: skipped without error (see FrameOutcome).
-  /// `outcome` (optional) reports what happened, for ack emission.
-  Status HandleFrame(std::span<const uint8_t> frame,
-                     FrameOutcome* outcome = nullptr);
-  Status HandleFrame(std::string_view frame, FrameOutcome* outcome = nullptr);
+  /// claimed is a DUPLICATE: skipped without error.
+  /// It runs ClaimFrame, AbsorbFrame, then ReleaseClaim on failure and
+  /// SequenceTracker::Advance. The server runs the same steps over a
+  /// batch, absorbing on per-slot sub-sessions that never claim.
+  Status HandleFrame(std::span<const uint8_t> frame);
+  Status HandleFrame(std::string_view frame);
+
+  /// Claim step (serial): peeks the header into `*info` and claims its
+  /// (epoch, seq). True = absorb the frame (always, when unsequenced),
+  /// false = a duplicate. Ack frames and malformed headers are typed
+  /// errors that claim nothing.
+  Result<bool> ClaimFrame(std::span<const uint8_t> frame,
+                          wire::FrameInfo* info);
+  /// Absorb step, the only one sessions may run concurrently: decodes,
+  /// charges and absorbs a claimed frame. A failure leaves accumulators
+  /// and ledger untouched.
+  Status AbsorbFrame(const wire::FrameInfo& info,
+                     std::span<const uint8_t> frame);
+  /// Release step (serial): reopens the claim of a frame whose absorb
+  /// failed, before the window's next Advance.
+  void ReleaseClaim(const wire::FrameInfo& info);
 
   /// This session's TOTAL aggregate (default + all tenants merged) as one
   /// untagged wire sketch frame (what a collector ships to a coordinator
@@ -218,13 +223,8 @@ class CollectorSession {
   const std::shared_ptr<TenantLedger>& ledger() const { return ledger_; }
   void set_ledger(std::shared_ptr<TenantLedger> ledger);
 
-  /// The exactly-once dedup window. Shared like the ledger: the server
-  /// points every sub-session at one tracker so a re-sent frame dedups
-  /// no matter which slot absorbs it.
-  const std::shared_ptr<SequenceTracker>& sequence_tracker() const {
-    return tracker_;
-  }
-  void set_sequence_tracker(std::shared_ptr<SequenceTracker> tracker);
+  /// The exactly-once dedup window (single-threaded, never shared).
+  SequenceTracker* sequence_tracker() { return &tracker_; }
 
   /// Merges every accumulator of `other` (default + tenants, per tenant)
   /// into this session WITHOUT charging the ledger — the frames behind
@@ -261,10 +261,6 @@ class CollectorSession {
   const Accumulator* FindTenant(uint32_t tenant) const;
   /// The total aggregate as one freshly merged accumulator.
   Result<std::unique_ptr<Accumulator>> MergedTotal() const;
-  /// The decode-charge-absorb core of HandleFrame (dedup handled by the
-  /// caller). A failure leaves accumulators and ledger untouched.
-  Status AbsorbFrame(const wire::FrameInfo& info,
-                     std::span<const uint8_t> frame);
 
   wire::MethodSpec spec_;
   std::shared_ptr<const Protocol> protocol_;
@@ -273,7 +269,7 @@ class CollectorSession {
   /// Lazily created per-tenant accumulators (tenant-tagged frames).
   std::map<uint32_t, std::unique_ptr<Accumulator>> tenants_;
   std::shared_ptr<TenantLedger> ledger_;
-  std::shared_ptr<SequenceTracker> tracker_;
+  SequenceTracker tracker_;
 };
 
 }  // namespace numdist::serve

@@ -16,6 +16,7 @@
 
 #include <fcntl.h>
 #include <gtest/gtest.h>
+#include <sys/socket.h>
 #include <unistd.h>
 
 #include <csignal>
@@ -715,45 +716,88 @@ TEST(CollectorServerTest, WalFailureNeverAcksNonDurableFrames) {
   // retransmit into the recovered log instead of retiring frames the
   // replay cannot reproduce. Deleting the segment directory out from
   // under a tiny-segment WAL makes the very first append fail at
-  // rotation, after the frames were absorbed in memory.
+  // rotation, after the frames were absorbed in memory. With a second
+  // connection re-sending the same frames, the batch also holds a
+  // duplicate of every frame, and those must not be acked either.
   NetFixture fx = MakeNetFixture(600, 256);
   for (size_t i = 0; i < fx.frames.size(); ++i) {
     ASSERT_TRUE(wire::StampSequenceContext(&fx.frames[i],
                                            {.epoch = 11, .seq = i + 1})
                     .ok());
   }
-  const std::string dir = testing::TempDir() + "net_wal_fail_acks";
-  std::filesystem::remove_all(dir);
-  net::ServerOptions options;
-  options.wal_path = dir;
-  options.wal.segment_bytes = 1;  // every append seals and rolls
-  auto server = net::CollectorServer::Make(fx.spec, options).ValueOrDie();
-  const net::Endpoint bound =
-      server->AddListener(net::ParseEndpoint("tcp:0").ValueOrDie())
-          .ValueOrDie();
-  std::filesystem::remove_all(dir);
-  Status run_status;
-  std::thread serving([&] { run_status = server->Run(); });
-  net::Fd client = net::Dial(bound).ValueOrDie();
   const std::string bytes = EncodeFrames(fx.frames);
-  ASSERT_TRUE(net::WriteAll(client.get(), bytes).ok());
-  serving.join();
-  EXPECT_FALSE(run_status.ok()) << "the WAL failure must be fatal to Run";
-  EXPECT_EQ(server->stats().acks_queued, 0u)
-      << "no ack may cover a frame the log does not hold";
-  server.reset();  // closes the connection so the read below terminates
-  char buf[256];
-  size_t acked_bytes = 0;
-  for (;;) {
-    const ssize_t got = read(client.get(), buf, sizeof(buf));
-    if (got > 0) {
-      acked_bytes += static_cast<size_t>(got);
-      continue;
+  for (const size_t connections : {1u, 2u}) {
+    SCOPED_TRACE(testing::Message() << "connections=" << connections);
+    const std::string dir = testing::TempDir() + "net_wal_fail_acks";
+    std::filesystem::remove_all(dir);
+    net::ServerOptions options;
+    options.wal_path = dir;
+    options.wal.segment_bytes = 1;  // every append seals and rolls
+    auto server = net::CollectorServer::Make(fx.spec, options).ValueOrDie();
+    const net::Endpoint bound =
+        server->AddListener(net::ParseEndpoint("tcp:0").ValueOrDie())
+            .ValueOrDie();
+    std::filesystem::remove_all(dir);
+    // Everything is written before Run, so one batch holds every copy.
+    std::vector<net::Fd> clients;
+    for (size_t c = 0; c < connections; ++c) {
+      clients.push_back(net::Dial(bound).ValueOrDie());
+      ASSERT_TRUE(net::WriteAll(clients.back().get(), bytes).ok());
     }
-    break;  // EOF or reset — nothing more is coming either way
+    EXPECT_FALSE(server->Run().ok()) << "the WAL failure must be fatal to Run";
+    EXPECT_EQ(server->stats().acks_queued, 0u)
+        << "no ack may cover a frame the log does not hold";
+    server.reset();  // closes the connections so the reads below terminate
+    for (const net::Fd& client : clients) {
+      char buf[256];
+      size_t acked_bytes = 0;
+      for (;;) {
+        const ssize_t got = read(client.get(), buf, sizeof(buf));
+        if (got > 0) {
+          acked_bytes += static_cast<size_t>(got);
+          continue;
+        }
+        break;  // EOF or reset — nothing more is coming either way
+      }
+      EXPECT_EQ(acked_bytes, 0u)
+          << "a non-durable frame's ack reached the client";
+    }
   }
-  EXPECT_EQ(acked_bytes, 0u)
-      << "a non-durable frame's ack reached the client";
+}
+
+// A re-send of a frame that fails in the same batch is never acked: the
+// copy that claimed the id is over budget and releases its claim, so the
+// later copy, skipped as a duplicate, finds nothing absorbed to ack. Both
+// connections write before Run, so every repetition puts both copies in
+// one batch.
+TEST(CollectorServerTest, ResendOfAFrameRejectedInTheSameBatchIsNotAcked) {
+  NetFixture fx = MakeNetFixture(200, 200);
+  ASSERT_EQ(fx.frames.size(), 1u);
+  ASSERT_TRUE(
+      wire::StampSequenceContext(&fx.frames[0], {.epoch = 4, .seq = 1}).ok());
+  const std::string bytes = EncodeFrames(fx.frames);
+  for (int rep = 0; rep < 40; ++rep) {
+    SCOPED_TRACE(testing::Message() << "rep=" << rep);
+    auto server = net::CollectorServer::Make(fx.spec).ValueOrDie();
+    server->SetTenantBudget(wire::kDefaultTenant, {.max_reports = 1});
+    const net::Endpoint bound =
+        server->AddListener(net::ParseEndpoint("tcp:0").ValueOrDie())
+            .ValueOrDie();
+    std::vector<net::Fd> clients;
+    for (int c = 0; c < 2; ++c) {
+      clients.push_back(net::Dial(bound).ValueOrDie());
+      ASSERT_TRUE(net::WriteAll(clients.back().get(), bytes).ok());
+      ASSERT_EQ(::shutdown(clients.back().get(), SHUT_WR), 0);
+    }
+    server->RequestDrain();  // serve the accepted backlog to EOF
+    ASSERT_TRUE(server->Run().ok());
+    const net::ServerStats& stats = server->stats();
+    EXPECT_EQ(stats.duplicates, 1u) << "both copies must meet in one batch";
+    EXPECT_EQ(stats.connection_errors, 1u);
+    EXPECT_EQ(stats.frames_absorbed, 0u);
+    EXPECT_EQ(stats.acks_queued, 0u)
+        << "the re-send of a rejected frame was acked";
+  }
 }
 
 // The checkpoint cadence (WalOptions::checkpoint_every_frames) compacts

@@ -437,14 +437,13 @@ TEST(CollectorSessionTest, EmptyLikeSharesTheProtocolAndOwnsItsState) {
   EXPECT_EQ(sibling.EncodeSketches().ValueOrDie(),
             empty.EncodeSketches().ValueOrDie());
   EXPECT_NE(sibling.ledger().get(), session.ledger().get());
-  EXPECT_NE(sibling.sequence_tracker().get(),
-            session.sequence_tracker().get());
+  EXPECT_NE(sibling.sequence_tracker(), session.sequence_tracker());
 
   // Its own dedup window: the parent's claimed (epoch, seq) absorbs here.
-  serve::FrameOutcome outcome;
-  ASSERT_TRUE(sibling.HandleFrame(frames[0], &outcome).ok());
-  EXPECT_TRUE(outcome.absorbed);
-  EXPECT_FALSE(outcome.duplicate);
+  ASSERT_TRUE(session.sequence_tracker()->Claimed(5, 1));
+  EXPECT_FALSE(sibling.sequence_tracker()->Claimed(5, 1));
+  ASSERT_TRUE(sibling.HandleFrame(frames[0]).ok());
+  EXPECT_EQ(sibling.num_reports(), 100u);
   // Its own ledger: the parent's tenant-1 budget is spent, not this one's.
   EXPECT_EQ(session.HandleFrame(frames[1]).code(),
             StatusCode::kFailedPrecondition);
@@ -474,18 +473,28 @@ TEST(CollectorSessionTest, SiblingSessionsFoldBackToTheSingleSessionBytes) {
       ASSERT_TRUE(reference.HandleFrame(frame).ok());
     }
 
-    // The server's shape: a main session plus siblings sharing its
-    // ledger and window, frames spread over the siblings, folded back.
+    // The server's shape: a main session claims every frame, siblings
+    // sharing its ledger (never its window) absorb them, and the main
+    // session advances its window and folds the siblings back.
     auto main = serve::CollectorSession::Make(spec).ValueOrDie();
     std::vector<serve::CollectorSession> siblings;
     for (size_t s = 0; s < 3; ++s) {
       siblings.push_back(main.MakeEmptyLike());
       siblings.back().set_ledger(main.ledger());
-      siblings.back().set_sequence_tracker(main.sequence_tracker());
     }
     for (size_t i = 0; i < frames.size(); ++i) {
-      ASSERT_TRUE(siblings[(i * 7) % siblings.size()].HandleFrame(frames[i])
-                      .ok());
+      const std::span<const uint8_t> bytes = wire::FrameBytes(frames[i]);
+      wire::FrameInfo info;
+      ASSERT_TRUE(main.ClaimFrame(bytes, &info).ValueOrDie());
+      ASSERT_TRUE(
+          siblings[(i * 7) % siblings.size()].AbsorbFrame(info, bytes).ok());
+    }
+    main.sequence_tracker()->Advance();
+    for (const std::string& frame : frames) {
+      wire::FrameInfo info;
+      EXPECT_FALSE(main.ClaimFrame(wire::FrameBytes(frame), &info)
+                       .ValueOrDie())
+          << "a re-send must dedup on the main session's window";
     }
     for (const serve::CollectorSession& sibling : siblings) {
       ASSERT_TRUE(main.AbsorbSession(sibling).ok());
@@ -544,56 +553,39 @@ TEST(CollectorSessionTest, SiblingCheckpointReplaysToIdenticalBytes) {
 }
 
 // ---------------------------------------------------------------------------
-// SequenceTracker window semantics under the Export/Release race: an
-// Export may fold a claim into the floor while its absorb is still in
-// flight on another executor slot. If that absorb then fails, the Release
-// must re-open the window — otherwise the client's retry is rejected as a
-// duplicate and the frame is silently lost.
-
-TEST(SequenceTrackerTest, ReleaseBelowTheFloorReopensTheWindow) {
-  serve::SequenceTracker tracker;
-  ASSERT_TRUE(tracker.Claim(7, 1));
-  ASSERT_TRUE(tracker.Claim(7, 2));
-  ASSERT_TRUE(tracker.Claim(7, 3));
-  // Export folds 1..3 into the floor...
-  {
-    const std::vector<serve::WalSeqEntry> entries = tracker.Export();
-    ASSERT_EQ(entries.size(), 1u);
-    EXPECT_EQ(entries[0].epoch, 7u);
-    EXPECT_EQ(entries[0].floor, 3u);
-    EXPECT_TRUE(entries[0].sparse.empty());
-  }
-  // ...then seq 2's in-flight absorb fails and releases its claim.
-  tracker.Release(7, 2);
-  // The retry must be accepted exactly once, then dedup again.
-  EXPECT_TRUE(tracker.Claim(7, 2));
-  EXPECT_FALSE(tracker.Claim(7, 2));
-  // Still-absorbed neighbors stay duplicates throughout.
-  EXPECT_FALSE(tracker.Claim(7, 1));
-  EXPECT_FALSE(tracker.Claim(7, 3));
-}
+// SequenceTracker: a failed absorb releases its claim before the window
+// advances, so the window never folds a failed frame into a floor.
 
 TEST(SequenceTrackerTest, ExportNeverPersistsAReleasedClaimAsAbsorbed) {
   serve::SequenceTracker tracker;
   for (uint64_t seq = 1; seq <= 4; ++seq) {
     ASSERT_TRUE(tracker.Claim(9, seq));
   }
-  ASSERT_EQ(tracker.Export().at(0).floor, 4u);
+  // Seq 2's absorb failed: released, then the window advances.
   tracker.Release(9, 2);
-  // A checkpoint cut between the release and the retry must carry the
-  // hole: the floor drops below it and the genuinely absorbed seqs above
-  // it move back into the sparse set.
+  tracker.Advance();
+  EXPECT_FALSE(tracker.Claimed(9, 2));
+  // A checkpoint cut before the retry carries the hole: the floor stops
+  // below it and the absorbed seqs above it stay sparse.
   const std::vector<serve::WalSeqEntry> entries = tracker.Export();
   ASSERT_EQ(entries.size(), 1u);
+  EXPECT_EQ(entries[0].epoch, 9u);
   EXPECT_EQ(entries[0].floor, 1u);
   EXPECT_EQ(entries[0].sparse, (std::vector<uint64_t>{3, 4}));
-  // A tracker restored from that checkpoint accepts the retry and still
-  // dedups the absorbed neighbors.
+  // The retry is accepted exactly once, here and in a tracker restored
+  // from that checkpoint; the absorbed neighbors stay duplicates.
   serve::SequenceTracker restored;
   restored.Restore(entries);
-  EXPECT_TRUE(restored.Claim(9, 2));
-  EXPECT_FALSE(restored.Claim(9, 3));
-  EXPECT_FALSE(restored.Claim(9, 1));
+  for (serve::SequenceTracker* t : {&tracker, &restored}) {
+    EXPECT_TRUE(t->Claim(9, 2));
+    EXPECT_FALSE(t->Claim(9, 2));
+    EXPECT_FALSE(t->Claim(9, 1));
+    EXPECT_FALSE(t->Claim(9, 3));
+    EXPECT_FALSE(t->Claim(9, 4));
+    t->Advance();
+    EXPECT_EQ(t->Export().at(0).floor, 4u);
+    EXPECT_TRUE(t->Export().at(0).sparse.empty());
+  }
 }
 
 }  // namespace

@@ -109,14 +109,22 @@ LoggedSession OpenLogged(const std::string& path,
   return logged;
 }
 
+// Whether the session's dedup window holds `frame`'s (epoch, seq).
+bool Claimed(serve::CollectorSession* session, const std::string& frame) {
+  const Result<wire::FrameInfo> info = wire::PeekFrame(frame);
+  return info.ok() && info->has_seq &&
+         session->sequence_tracker()->Claimed(info->seq.epoch, info->seq.seq);
+}
+
 // Absorbs one frame and logs it once accepted (duplicates never reach the
-// log), as the server's batch loop does.
+// log), as the server's batch loop does. `*absorbed` (optional) is false
+// for a duplicate.
 Status Ingest(LoggedSession* logged, const std::string& frame,
-              serve::FrameOutcome* outcome = nullptr) {
-  serve::FrameOutcome local;
-  if (outcome == nullptr) outcome = &local;
-  NUMDIST_RETURN_NOT_OK(logged->session.HandleFrame(frame, outcome));
-  return outcome->absorbed ? logged->log->AppendFrame(frame) : Status::OK();
+              bool* absorbed = nullptr) {
+  const bool duplicate = Claimed(&logged->session, frame);
+  NUMDIST_RETURN_NOT_OK(logged->session.HandleFrame(frame));
+  if (absorbed != nullptr) *absorbed = !duplicate;
+  return duplicate ? Status::OK() : logged->log->AppendFrame(frame);
 }
 
 // Compacts the log to the session's state plus its dedup window.
@@ -603,10 +611,9 @@ TEST(WalSegmentTest, DedupWindowSurvivesReplayAndCompaction) {
   LoggedSession logged =
       OpenLogged(dir, {.segment_bytes = kTestSegmentBytes});
   for (const std::string& frame : frames) {
-    serve::FrameOutcome outcome;
-    ASSERT_TRUE(Ingest(&logged, frame, &outcome).ok());
-    EXPECT_TRUE(outcome.absorbed);
-    EXPECT_FALSE(outcome.duplicate);
+    bool absorbed = false;
+    ASSERT_TRUE(Ingest(&logged, frame, &absorbed).ok());
+    EXPECT_TRUE(absorbed);
   }
 
   // Path 1: crash before any compaction — frame replay re-claims seqs,
@@ -617,11 +624,9 @@ TEST(WalSegmentTest, DedupWindowSurvivesReplayAndCompaction) {
     ASSERT_TRUE(restarted.log.has_value());
     const AccumulatorState recovered = restarted.session.ExportState();
     for (const std::string& frame : frames) {
-      serve::FrameOutcome outcome;
-      ASSERT_TRUE(restarted.session.HandleFrame(frame, &outcome).ok());
-      EXPECT_TRUE(outcome.duplicate) << "replayed seq must be claimed";
-      EXPECT_TRUE(outcome.has_seq);
-      EXPECT_FALSE(outcome.absorbed);
+      EXPECT_TRUE(Claimed(&restarted.session, frame))
+          << "replayed seq must be claimed";
+      ASSERT_TRUE(restarted.session.HandleFrame(frame).ok());
     }
     EXPECT_TRUE(SameState(recovered, restarted.session.ExportState()));
   }
@@ -634,11 +639,12 @@ TEST(WalSegmentTest, DedupWindowSurvivesReplayAndCompaction) {
         OpenLogged(dir, {.segment_bytes = kTestSegmentBytes});
     ASSERT_TRUE(restarted.log.has_value());
     EXPECT_EQ(restarted.stats.seq_checkpoints, 1u);
+    const uint64_t recovered = restarted.session.num_reports();
     for (const std::string& frame : frames) {
-      serve::FrameOutcome outcome;
-      ASSERT_TRUE(restarted.session.HandleFrame(frame, &outcome).ok());
-      EXPECT_TRUE(outcome.duplicate);
+      EXPECT_TRUE(Claimed(&restarted.session, frame));
+      ASSERT_TRUE(restarted.session.HandleFrame(frame).ok());
     }
+    EXPECT_EQ(restarted.session.num_reports(), recovered);
     // A genuinely new sequence number still absorbs.
     std::vector<std::string> fresh =
         MakeReportFrames(TestSpec(), 1, 50, 26);
@@ -646,10 +652,10 @@ TEST(WalSegmentTest, DedupWindowSurvivesReplayAndCompaction) {
                     &fresh[0],
                     {.epoch = 9, .seq = frames.size() + 1})
                     .ok());
-    serve::FrameOutcome outcome;
-    ASSERT_TRUE(restarted.session.HandleFrame(fresh[0], &outcome).ok());
-    EXPECT_TRUE(outcome.absorbed);
-    EXPECT_FALSE(outcome.duplicate);
+    EXPECT_FALSE(Claimed(&restarted.session, fresh[0]));
+    const uint64_t before = restarted.session.num_reports();
+    ASSERT_TRUE(restarted.session.HandleFrame(fresh[0]).ok());
+    EXPECT_EQ(restarted.session.num_reports(), before + 50);
   }
   std::filesystem::remove_all(dir);
 }
