@@ -5,9 +5,12 @@
 //
 //   encode   EncodeReportFrame over pre-perturbed chunks   (client -> wire)
 //   decode   DecodeReportFrame back into chunks            (wire -> server)
+//   absorb   DecodeReportFrame + Accumulator::Absorb       (wire -> counts)
 //   merge    sketch frame encode + strict decode + Merge   (shard -> coord)
 //
-// and the combined pipeline rate n / (t_enc + t_dec + t_merge). The
+// and the combined pipeline rate n / (t_enc + t_dec + t_merge). The absorb
+// column is what a collector pays per report frame; for SW the decode
+// already bucketizes, so absorb adds only the counting. The
 // acceptance bar (ISSUE 4): the combined rate for OLH at d=1024 must reach
 // 1M reports/s; a miss prints a non-blocking "# WARN" line (CI shows it,
 // nothing fails — shared-runner noise must not gate merges).
@@ -27,8 +30,8 @@
 // CollectorSession), both in reports/s — recovery time bounds restart
 // downtime, so it is tracked like serving throughput.
 //
-// --json writes the FUZZ_/WAL_ series in google-benchmark shape for
-// tools/compare_bench.py.
+// --json writes the WIRE_ABSORB_<method> (decode + absorb) and FUZZ_/WAL_
+// series in google-benchmark shape for tools/compare_bench.py.
 #include <chrono>
 #include <cstdio>
 #include <cstdlib>
@@ -89,10 +92,20 @@ int main(int argc, char** argv) {
     }
   }
 
+  // One JSON series entry: items/s with the series-prefixed name
+  // (WIRE_ABSORB_* = reports/s, FUZZ_* = mutants/s, WAL_* = reports/s).
+  struct JsonRow {
+    std::string name;
+    size_t items = 0;
+    double seconds = 0.0;
+  };
+  std::vector<JsonRow> json_rows;
+
   const std::vector<double> values = GoldenRatioValues(n);
   bool acceptance_measured = false;
-  printf("%-14s %10s %12s %12s %12s %14s %12s\n", "method", "reports",
-         "enc_Mrps", "dec_Mrps", "merge_Mrps", "pipeline_Mrps", "frame_MB");
+  printf("%-14s %10s %12s %12s %12s %12s %14s %12s\n", "method", "reports",
+         "enc_Mrps", "dec_Mrps", "absorb_Mrps", "merge_Mrps",
+         "pipeline_Mrps", "frame_MB");
 
   std::stringstream ss(methods);
   std::string name;
@@ -168,7 +181,24 @@ int main(int argc, char** argv) {
     }
     const double dec_ms = MsSince(dec_start);
 
-    // Stage 3: sketch round trip + merge (what shards ship to the
+    // Stage 3: decode + absorb into one accumulator, as a collector does.
+    auto absorbed_into = protocol.MakeAccumulator();
+    const auto absorb_start = std::chrono::steady_clock::now();
+    for (const std::string& frame : frames) {
+      auto decoded =
+          wire::DecodeReportFrame(spec, protocol, wire::FrameBytes(frame));
+      const Status st = decoded.ok() ? absorbed_into->Absorb(**decoded)
+                                     : decoded.status();
+      if (!st.ok()) {
+        fprintf(stderr, "%s absorb: %s\n", name.c_str(),
+                st.ToString().c_str());
+        return 1;
+      }
+    }
+    const double absorb_ms = MsSince(absorb_start);
+    json_rows.push_back({"WIRE_ABSORB_" + name, reports, absorb_ms / 1000.0});
+
+    // Stage 4: sketch round trip + merge (what shards ship to the
     // coordinator), repeated so the timing is not dominated by clock
     // granularity: the per-iteration state is O(d), not O(n).
     const size_t merge_iters = 50;
@@ -194,9 +224,10 @@ int main(int argc, char** argv) {
     const double pipeline_ms = enc_ms + dec_ms + merge_ms;
     const double r = static_cast<double>(reports);
     const double pipeline_mrps = r / pipeline_ms / 1000.0;
-    printf("%-14s %10llu %12.2f %12.2f %12.2f %14.2f %12.2f\n", name.c_str(),
-           static_cast<unsigned long long>(reports), r / enc_ms / 1000.0,
-           r / dec_ms / 1000.0, r / merge_ms / 1000.0, pipeline_mrps,
+    printf("%-14s %10llu %12.2f %12.2f %12.2f %12.2f %14.2f %12.2f\n",
+           name.c_str(), static_cast<unsigned long long>(reports),
+           r / enc_ms / 1000.0, r / dec_ms / 1000.0, r / absorb_ms / 1000.0,
+           r / merge_ms / 1000.0, pipeline_mrps,
            static_cast<double>(bytes) / (1024.0 * 1024.0));
 
     // Acceptance radar (non-blocking): OLH with 1024 bins at granularity
@@ -217,15 +248,6 @@ int main(int argc, char** argv) {
     printf("# NOTE: acceptance configuration cfo-olh-1024 at --d=1024 was "
            "not part of this run; the 1M reports/s radar did not fire\n");
   }
-
-  // One JSON series entry: items/s with the series-prefixed name
-  // (FUZZ_* = mutants/s, WAL_* = reports/s).
-  struct JsonRow {
-    std::string name;
-    size_t items = 0;
-    double seconds = 0.0;
-  };
-  std::vector<JsonRow> json_rows;
 
   if (fuzz) {
     // Hostile-input rejection throughput: a representative report and

@@ -2,6 +2,8 @@
 // built from. All multi-byte integers are little-endian on the wire
 // regardless of host order; doubles travel as their IEEE-754 bit pattern
 // (exact — encode/decode round-trips are bit-identical, never lossy).
+// Bulk f64 arrays (LoadLittleEndianF64s) are one memcpy on little-endian
+// hosts and a per-value byte swap on big-endian ones.
 //
 // ByteWriter appends to a caller-owned std::string; ByteReader consumes a
 // read-only byte span with strict bounds checking — every underflow is a
@@ -9,6 +11,8 @@
 // (magic, versioning, payload layouts) live above this, in src/wire/.
 #pragma once
 
+#include <bit>
+#include <cassert>
 #include <cstdint>
 #include <cstring>
 #include <span>
@@ -81,19 +85,20 @@ class ByteReader {
     if (!v.ok()) return v.status();
     return static_cast<int64_t>(*v);
   }
-  /// Reads an IEEE-754 bit pattern written by ByteWriter::PutF64.
-  Result<double> F64() {
-    Result<uint64_t> bits = U64();
-    if (!bits.ok()) return bits.status();
-    double v = 0.0;
-    std::memcpy(&v, &*bits, sizeof(v));
-    return v;
-  }
   Status Bytes(void* dst, size_t len) {
     NUMDIST_RETURN_NOT_OK(Require(len));
     std::memcpy(dst, data_.data() + pos_, len);
     pos_ += len;
     return Status::OK();
+  }
+  /// Borrows the next `len` bytes without copying: a view into the
+  /// reader's span, valid as long as that span is. Bounds-checked like
+  /// every read.
+  Result<std::span<const uint8_t>> Take(size_t len) {
+    NUMDIST_RETURN_NOT_OK(Require(len));
+    const std::span<const uint8_t> view = data_.subspan(pos_, len);
+    pos_ += len;
+    return view;
   }
 
  private:
@@ -122,5 +127,26 @@ class ByteReader {
   std::span<const uint8_t> data_;
   size_t pos_ = 0;
 };
+
+/// Decodes consecutive ByteWriter::PutF64 bit patterns: `src` holds
+/// exactly 8 bytes per element of `dst`.
+inline void LoadLittleEndianF64s(std::span<const uint8_t> src,
+                                 std::span<double> dst) {
+  static_assert(std::endian::native == std::endian::little ||
+                    std::endian::native == std::endian::big,
+                "mixed-endian hosts are not supported");
+  assert(src.size() == dst.size() * sizeof(double));
+  if constexpr (std::endian::native == std::endian::little) {
+    if (!dst.empty()) std::memcpy(dst.data(), src.data(), src.size());
+  } else {
+    for (size_t i = 0; i < dst.size(); ++i) {
+      uint64_t bits = 0;
+      for (size_t b = 0; b < sizeof(bits); ++b) {
+        bits |= static_cast<uint64_t>(src[i * sizeof(bits) + b]) << (8 * b);
+      }
+      std::memcpy(&dst[i], &bits, sizeof(bits));
+    }
+  }
+}
 
 }  // namespace numdist

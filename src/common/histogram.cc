@@ -1,23 +1,10 @@
 #include "common/histogram.h"
 
-#include <algorithm>
 #include <cassert>
 #include <cmath>
 
 namespace numdist {
 namespace hist {
-
-size_t BucketOf(double v, size_t d) {
-  assert(d > 0);
-  v = std::clamp(v, 0.0, 1.0);
-  const size_t i = static_cast<size_t>(v * static_cast<double>(d));
-  return std::min(i, d - 1);
-}
-
-size_t BucketOf(double v, size_t d, double lo, double hi) {
-  assert(hi > lo);
-  return BucketOf((v - lo) / (hi - lo), d);
-}
 
 double BucketCenter(size_t i, size_t d) {
   assert(i < d);

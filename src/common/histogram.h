@@ -5,6 +5,8 @@
 // Bucket i covers [i/d, (i+1)/d); the last bucket is closed on the right.
 #pragma once
 
+#include <algorithm>
+#include <cassert>
 #include <cstddef>
 #include <cstdint>
 #include <vector>
@@ -14,10 +16,20 @@ namespace hist {
 
 /// Index of the bucket containing `v` in a `d`-bucket grid over [0, 1].
 /// Values are clamped into [0, 1] first (robustness against FP round-off).
-size_t BucketOf(double v, size_t d);
+/// `v` must not be NaN. Inline so batch bucketizers (e.g.
+/// SwEstimator::BucketizeInto) run this exact arithmetic in their loops.
+inline size_t BucketOf(double v, size_t d) {
+  assert(d > 0);
+  v = std::clamp(v, 0.0, 1.0);
+  const size_t i = static_cast<size_t>(v * static_cast<double>(d));
+  return std::min(i, d - 1);
+}
 
 /// Index of the bucket containing `v` in a `d`-bucket grid over [lo, hi).
-size_t BucketOf(double v, size_t d, double lo, double hi);
+inline size_t BucketOf(double v, size_t d, double lo, double hi) {
+  assert(hi > lo);
+  return BucketOf((v - lo) / (hi - lo), d);
+}
 
 /// Center of bucket `i` in a `d`-bucket grid over [0, 1].
 double BucketCenter(size_t i, size_t d);

@@ -129,28 +129,52 @@ void SwEstimator::PerturbBatch(std::span<const double> values, Rng& rng,
   }
 }
 
-std::vector<uint64_t> SwEstimator::Aggregate(
-    const std::vector<double>& reports) const {
+SwEstimator::BucketizeCheck SwEstimator::BucketizeInto(
+    std::span<const double> reports, uint32_t* out) const {
+  const size_t d_out = output_buckets();
+  bool non_finite = false;
+  bool out_of_domain = false;
   if (options_.pipeline ==
       SwEstimatorOptions::Pipeline::kRandomizeBeforeBucketize) {
-    return sw_.BucketizeReports(reports, options_.d_out);
+    const double lo = -sw_.b();
+    const double hi = 1.0 + sw_.b();
+    for (size_t i = 0; i < reports.size(); ++i) {
+      // A NaN would pass the clamp into a float->index cast (UB), so a
+      // non-finite report is swapped for `lo` and flagged.
+      const bool finite = std::isfinite(reports[i]);
+      non_finite |= !finite;
+      out[i] = static_cast<uint32_t>(
+          hist::BucketOf(finite ? reports[i] : lo, d_out, lo, hi));
+    }
+  } else {
+    const double domain = static_cast<double>(d_out);
+    for (size_t i = 0; i < reports.size(); ++i) {
+      const double r = reports[i];
+      const bool in_domain = r >= 0.0 && r < domain;  // false for NaN, inf
+      non_finite |= !std::isfinite(r);
+      out_of_domain |= !in_domain;
+      out[i] = static_cast<uint32_t>(in_domain ? r : 0.0);
+    }
   }
-  std::vector<uint64_t> counts(dsw_.output_domain(), 0);
-  for (double r : reports) {
-    const size_t j = static_cast<size_t>(r);
-    assert(j < counts.size());
-    ++counts[j];
-  }
+  return {non_finite, out_of_domain};
+}
+
+std::vector<uint64_t> SwEstimator::Aggregate(
+    const std::vector<double>& reports) const {
+  std::vector<uint32_t> indices(reports.size());
+  [[maybe_unused]] const BucketizeCheck check =
+      BucketizeInto(reports, indices.data());
+  assert(!check.non_finite && !check.out_of_domain);
+  std::vector<uint64_t> counts(output_buckets(), 0);
+  for (const uint32_t j : indices) ++counts[j];
   return counts;
 }
 
 size_t SwEstimator::OutputBucketOf(double report) const {
-  if (options_.pipeline ==
-      SwEstimatorOptions::Pipeline::kRandomizeBeforeBucketize) {
-    return hist::BucketOf(report, options_.d_out, -sw_.b(), 1.0 + sw_.b());
-  }
-  const size_t j = static_cast<size_t>(report);
-  assert(j < dsw_.output_domain());
+  uint32_t j = 0;
+  [[maybe_unused]] const BucketizeCheck check =
+      BucketizeInto(std::span<const double>(&report, 1), &j);
+  assert(!check.non_finite && !check.out_of_domain);
   return j;
 }
 

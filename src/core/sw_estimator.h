@@ -72,12 +72,33 @@ class SwEstimator {
   void PerturbBatch(std::span<const double> values, Rng& rng,
                     std::vector<double>* out) const;
 
-  /// Server-side: histogram of raw reports over the output buckets.
+  /// What one BucketizeInto pass found wrong with its reports.
+  struct BucketizeCheck {
+    /// Some report was NaN or infinite.
+    bool non_finite = false;
+    /// Some discrete-pipeline report was outside [0, output_buckets()).
+    bool out_of_domain = false;
+  };
+
+  /// Server-side bucket rule, batch form: out[i] is the output bucket of
+  /// reports[i], for out[0..reports.size()). Continuous reports go through
+  /// hist::BucketOf(r, output_buckets(), -b, 1 + b), so out-of-range
+  /// values clamp to the edge buckets; discrete reports truncate to their
+  /// index. One branch-free pass: a non-finite report, or a discrete one
+  /// outside the domain, is written as bucket 0 and flagged in the result,
+  /// so the caller must reject the batch when either flag is set.
+  BucketizeCheck BucketizeInto(std::span<const double> reports,
+                               uint32_t* out) const;
+
+  /// Server-side: histogram of raw reports over the output buckets
+  /// (BucketizeInto, then count). Reports must be finite and, for the
+  /// discrete pipeline, in the output domain.
   std::vector<uint64_t> Aggregate(const std::vector<double>& reports) const;
 
-  /// Server-side: output bucket index of a single report — the O(1)
-  /// per-report primitive behind Aggregate, used by streaming ingestion
-  /// (eval/streaming.h) so one report never allocates a histogram.
+  /// Server-side: output bucket index of a single report — BucketizeInto's
+  /// single-report form, used by streaming ingestion (eval/streaming.h) so
+  /// one report never allocates a histogram. Same preconditions as
+  /// Aggregate.
   size_t OutputBucketOf(double report) const;
 
   /// Server-side: reconstructs the d-bucket input distribution from

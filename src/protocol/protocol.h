@@ -132,7 +132,11 @@ class Protocol {
   /// Strictly decodes a chunk payload produced by EncodeChunkPayload.
   /// Truncation and shape mismatches (wrong domain/granularity for this
   /// protocol instance) are typed errors; the returned chunk behaves
-  /// exactly like a locally encoded one under Absorb.
+  /// exactly like a locally encoded one under Absorb. A decoded chunk may
+  /// hold the server-side form of its reports rather than the reports
+  /// themselves (SW keeps only each report's output bucket), so
+  /// EncodeChunkPayload on it may fail with FailedPrecondition; it never
+  /// writes a partial or empty payload instead.
   virtual Result<std::unique_ptr<ReportChunk>> DecodeChunkPayload(
       ByteReader* in) const = 0;
 };

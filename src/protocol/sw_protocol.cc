@@ -1,19 +1,32 @@
 #include "protocol/sw_protocol.h"
 
-#include <cmath>
+#include <algorithm>
 #include <memory>
+#include <span>
 #include <utility>
 
 namespace numdist {
 
 namespace {
 
-// Wire format: the raw per-user SW reports (a real in [-b, 1+b] for the
-// continuous pipeline, an output bucket index for the discrete one).
+// Client-encoded chunks (EncodePerturbBatch) carry the raw per-user SW
+// reports — a real in [-b, 1+b] for the continuous pipeline, an output
+// bucket index for the discrete one — because that is what the wire
+// carries. Decoded chunks (DecodeChunkPayload) carry each report's output
+// bucket instead, computed once at decode: the server only ever counts
+// them, so a decoded chunk absorbs like its encoder's but cannot be
+// re-encoded.
 class SwChunk final : public ReportChunk {
  public:
-  size_t num_reports() const override { return reports.size(); }
-  std::vector<double> reports;
+  size_t num_reports() const override {
+    return decoded ? indices.size() : reports.size();
+  }
+  std::vector<double> reports;    // client-encoded chunks
+  std::vector<uint32_t> indices;  // decoded chunks
+  bool decoded = false;
+  // A decoded discrete report fell outside the output domain. Absorb, not
+  // decode, rejects it, so a collector charges the tenant budget first.
+  bool out_of_domain = false;
   size_t output_buckets = 0;  // aggregation shape the chunk was encoded for
   bool discrete = false;      // bucketize-before-randomize pipeline
 };
@@ -31,21 +44,16 @@ class SwAccumulator final : public Accumulator {
     if (sw_chunk->output_buckets != counts_.size()) {
       return Status::InvalidArgument("SW: chunk shape mismatch");
     }
-    if (sw_chunk->discrete) {
-      // Discrete reports index the count vector directly; reports come
-      // from untrusted clients, so range-check before aggregation
-      // (the continuous pipeline clamps instead).
-      for (double r : sw_chunk->reports) {
-        if (!(r >= 0.0) || r >= static_cast<double>(counts_.size())) {
-          return Status::InvalidArgument("SW: report out of output domain");
-        }
-      }
+    if (sw_chunk->decoded) {
+      return Count(sw_chunk->indices, sw_chunk->out_of_domain);
     }
-    const std::vector<uint64_t> batch =
-        estimator_->Aggregate(sw_chunk->reports);
-    for (size_t j = 0; j < counts_.size(); ++j) counts_[j] += batch[j];
-    n_ += sw_chunk->reports.size();
-    return Status::OK();
+    std::vector<uint32_t> indices(sw_chunk->reports.size());
+    const SwEstimator::BucketizeCheck check =
+        estimator_->BucketizeInto(sw_chunk->reports, indices.data());
+    if (check.non_finite) {
+      return Status::InvalidArgument("SW: non-finite report in chunk");
+    }
+    return Count(indices, check.out_of_domain);
   }
 
   Status Merge(const Accumulator& other) override {
@@ -113,6 +121,18 @@ class SwAccumulator final : public Accumulator {
 
  private:
   const SwEstimator* estimator_;
+  // Folds bucket indices in, all or nothing. Discrete reports come from
+  // untrusted clients, so one outside the output domain rejects the whole
+  // chunk (the continuous pipeline clamps instead).
+  Status Count(std::span<const uint32_t> indices, bool out_of_domain) {
+    if (out_of_domain) {
+      return Status::InvalidArgument("SW: report out of output domain");
+    }
+    for (const uint32_t j : indices) ++counts_[j];
+    n_ += indices.size();
+    return Status::OK();
+  }
+
   std::vector<uint64_t> counts_;
   uint64_t n_ = 0;
 };
@@ -157,6 +177,11 @@ class SwProtocol final : public Protocol {
     if (sw_chunk == nullptr) {
       return Status::InvalidArgument("SW: chunk from a different protocol");
     }
+    if (sw_chunk->decoded) {
+      return Status::FailedPrecondition(
+          "SW: a decoded chunk holds bucket indices and cannot be "
+          "re-encoded");
+    }
     out->PutU8(sw_chunk->discrete ? 1 : 0);
     out->PutU32(static_cast<uint32_t>(sw_chunk->output_buckets));
     out->PutU64(sw_chunk->reports.size());
@@ -183,26 +208,36 @@ class SwProtocol final : public Protocol {
           "SW: chunk output-bucket count does not match this protocol");
     }
     NUMDIST_ASSIGN_OR_RETURN(const uint64_t count, in->U64());
-    if (count > in->remaining() / sizeof(uint64_t)) {
+    if (count > in->remaining() / sizeof(double)) {
       return Status::OutOfRange(
           "SW: chunk report count exceeds the remaining payload");
     }
+    NUMDIST_ASSIGN_OR_RETURN(const std::span<const uint8_t> payload,
+                             in->Take(count * sizeof(double)));
     auto chunk = std::make_unique<SwChunk>();
+    chunk->decoded = true;
     chunk->discrete = discrete == 1;
     chunk->output_buckets = buckets;
-    chunk->reports.reserve(count);
-    for (uint64_t i = 0; i < count; ++i) {
-      NUMDIST_ASSIGN_OR_RETURN(const double r, in->F64());
-      // Wire reports are untrusted. Finite out-of-range values are safe
-      // downstream (the continuous path clamps, the discrete path
-      // range-checks in Absorb), but a NaN would sail through the clamp —
-      // NaN comparisons are all false — into a float->index cast that is
-      // UB. Reject non-finite payloads here, at the trust boundary.
-      if (!std::isfinite(r)) {
-        return Status::InvalidArgument(
-            "SW: non-finite report in chunk payload");
-      }
-      chunk->reports.push_back(r);
+    chunk->indices.resize(count);
+    // Straight from the wire bytes to bucket indices, a cache-sized block
+    // at a time. Wire reports are untrusted: finite out-of-range values
+    // are safe (clamped, or flagged for Absorb to reject), but a NaN or
+    // infinity fails the whole chunk here, at the trust boundary.
+    constexpr size_t kBlock = 512;
+    double block[kBlock];
+    bool non_finite = false;
+    for (size_t i = 0; i < count; i += kBlock) {
+      const size_t m = std::min<size_t>(kBlock, count - i);
+      LoadLittleEndianF64s(payload.subspan(i * sizeof(double),
+                                           m * sizeof(double)),
+                           std::span<double>(block, m));
+      const SwEstimator::BucketizeCheck check = estimator_->BucketizeInto(
+          std::span<const double>(block, m), chunk->indices.data() + i);
+      non_finite |= check.non_finite;
+      chunk->out_of_domain |= check.out_of_domain;
+    }
+    if (non_finite) {
+      return Status::InvalidArgument("SW: non-finite report in chunk payload");
     }
     return std::unique_ptr<ReportChunk>(std::move(chunk));
   }

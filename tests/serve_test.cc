@@ -2,10 +2,11 @@
 // length-prefixed transport framing is strict (clean EOF vs mid-frame EOF
 // vs hostile length prefix), CollectorSession reproduces the in-process
 // sharded aggregate bit-for-bit from report + sketch frames, sibling
-// sessions over one shared protocol fold back to the same bytes, and the
-// exactly-once window survives the Export/Release race. The full
-// collector lifecycle over a byte stream (CollectorServer::AddStream)
-// lives in tests/net_test.cc.
+// sessions over one shared protocol fold back to the same bytes, a
+// rejected SW report frame moves neither an accumulator nor the budget
+// ledger, and the exactly-once window survives the Export/Release race.
+// The full collector lifecycle over a byte stream
+// (CollectorServer::AddStream) lives in tests/net_test.cc.
 #include "serve/collector.h"
 
 #include <fcntl.h>
@@ -16,7 +17,9 @@
 #include <atomic>
 #include <cerrno>
 #include <csignal>
+#include <cmath>
 #include <cstring>
+#include <limits>
 #include <span>
 #include <sstream>
 #include <string>
@@ -25,6 +28,7 @@
 #include <utility>
 #include <vector>
 
+#include "common/bytes.h"
 #include "data/datasets.h"
 #include "eval/streaming.h"
 #include "protocol/sharded.h"
@@ -385,6 +389,164 @@ TEST(CollectorSessionTest, DefaultTenantBudgetCapsUntaggedFrames) {
       TenantReportFrame(spec, *protocol, wire::kDefaultTenant, 64, 13));
   EXPECT_EQ(over.code(), StatusCode::kFailedPrecondition) << over.ToString();
   EXPECT_EQ(session.num_reports(), 64u);
+}
+
+// ---------------------------------------------------------------------------
+// SW report errors: where each is raised decides whether the tenant budget
+// is charged first, and none may move state. A non-finite report fails at
+// decode, before the charge; a discrete report outside the output domain
+// fails at absorb, after it.
+
+// Overwrites report `index` of an SW report frame carrying `count`
+// reports (the f64 payload is the frame's last count * 8 bytes).
+std::string WithReport(std::string frame, size_t count, size_t index,
+                       double value) {
+  std::string bits;
+  ByteWriter(&bits).PutF64(value);
+  frame.replace(frame.size() - (count - index) * sizeof(double),
+                sizeof(double), bits);
+  return frame;
+}
+
+void ExpectSameCounts(const AccumulatorState& a, const AccumulatorState& b,
+                      const std::string& context) {
+  EXPECT_EQ(a.num_reports, b.num_reports) << context;
+  ASSERT_EQ(a.tables.size(), b.tables.size()) << context;
+  for (size_t t = 0; t < a.tables.size(); ++t) {
+    EXPECT_EQ(a.tables[t].counts, b.tables[t].counts) << context;
+  }
+}
+
+TEST(CollectorSessionTest, NonFiniteReportAnywhereFailsWithoutSideEffects) {
+  const auto spec = wire::ParseMethodSpec("sw-ems", 1.0, 32).ValueOrDie();
+  auto protocol = wire::MakeProtocolForSpec(spec).ValueOrDie();
+  auto session = serve::CollectorSession::Make(spec).ValueOrDie();
+  session.SetTenantBudget(1, {.max_reports = 1000});
+  ASSERT_TRUE(
+      session.HandleFrame(TenantReportFrame(spec, *protocol, 1, 200, 5))
+          .ok());
+  ASSERT_TRUE(session
+                  .HandleFrame(TenantReportFrame(
+                      spec, *protocol, wire::kDefaultTenant, 100, 5))
+                  .ok());
+  const AccumulatorState before = session.ExportState();
+  const auto sketches_before = session.EncodeSketches().ValueOrDie();
+
+  constexpr size_t kCount = 300;
+  const std::string clean = TenantReportFrame(spec, *protocol, 1, kCount, 6);
+  const double inf = std::numeric_limits<double>::infinity();
+  for (const double bad : {std::nan(""), inf, -inf}) {
+    for (const size_t index : {size_t{0}, kCount / 2, kCount - 1}) {
+      const std::string context =
+          "value " + std::to_string(bad) + " at " + std::to_string(index);
+      const Status st =
+          session.HandleFrame(WithReport(clean, kCount, index, bad));
+      EXPECT_EQ(st.code(), StatusCode::kInvalidArgument) << context;
+      EXPECT_EQ(st.message(), "SW: non-finite report in chunk payload")
+          << context;
+      EXPECT_EQ(session.ledger()->spent_reports(1), 200u) << context;
+      ExpectSameCounts(before, session.ExportState(), context);
+      EXPECT_EQ(session.EncodeSketches().ValueOrDie(), sketches_before)
+          << context;
+    }
+  }
+  // The frame without the poisoned report still lands.
+  EXPECT_TRUE(session.HandleFrame(clean).ok());
+  EXPECT_EQ(session.ledger()->spent_reports(1), 200u + kCount);
+}
+
+// Collector sessions build their protocol from a MethodSpec, which pins
+// the continuous pipeline, so the discrete pipeline runs the steps
+// CollectorSession::AbsorbFrame runs, in its order: decode, charge the
+// tenant ledger, absorb, refund on failure.
+TEST(CollectorSessionTest, DiscreteOutOfDomainFailsAfterTheBudgetCharge) {
+  SwEstimatorOptions options;
+  options.epsilon = 1.0;
+  options.d = 32;
+  options.pipeline = SwEstimatorOptions::Pipeline::kBucketizeBeforeRandomize;
+  auto protocol = MakeSwProtocol(options).ValueOrDie();
+  const auto spec = wire::ParseMethodSpec("sw-ems", 1.0, 32).ValueOrDie();
+  const double buckets =
+      static_cast<double>(SwEstimatorOf(*protocol)->output_buckets());
+  const auto frame_of = [&](size_t reports) {
+    Rng rng(ShardSeed(31, reports));
+    auto chunk =
+        protocol->EncodePerturbBatch(TestValues(reports), rng).ValueOrDie();
+    std::string frame;
+    EXPECT_TRUE(wire::EncodeReportFrame(spec, *protocol, *chunk, &frame).ok());
+    return frame;
+  };
+
+  serve::TenantLedger ledger;
+  ledger.SetBudget(wire::kDefaultTenant, {.max_reports = 150});
+  auto acc = protocol->MakeAccumulator();
+  const auto handle = [&](const std::string& frame) -> Status {
+    NUMDIST_ASSIGN_OR_RETURN(
+        std::unique_ptr<ReportChunk> chunk,
+        wire::DecodeReportFrame(spec, *protocol, wire::FrameBytes(frame)));
+    NUMDIST_RETURN_NOT_OK(ledger.Charge(
+        wire::kDefaultTenant, chunk->num_reports(), spec.epsilon));
+    const Status absorbed = acc->Absorb(*chunk);
+    if (!absorbed.ok()) {
+      ledger.Refund(wire::kDefaultTenant, chunk->num_reports());
+    }
+    return absorbed;
+  };
+  ASSERT_TRUE(handle(frame_of(100)).ok());
+  const AccumulatorState before = acc->ExportState();
+
+  const std::string over_budget = frame_of(100);  // 100 + 100 > 150
+  const std::string within_budget = frame_of(40);
+  for (const double bad : {buckets, std::nextafter(0.0, -1.0), -1.0, 1e300}) {
+    for (const size_t index : {size_t{0}, size_t{20}, size_t{39}}) {
+      const std::string context =
+          "value " + std::to_string(bad) + " at " + std::to_string(index);
+      const Status over = handle(WithReport(over_budget, 100, index, bad));
+      EXPECT_EQ(over.code(), StatusCode::kFailedPrecondition)
+          << context << ": " << over.ToString();
+      const Status out = handle(WithReport(within_budget, 40, index, bad));
+      EXPECT_EQ(out.code(), StatusCode::kInvalidArgument) << context;
+      EXPECT_EQ(out.message(), "SW: report out of output domain") << context;
+      EXPECT_EQ(ledger.spent_reports(wire::kDefaultTenant), 100u) << context;
+      ExpectSameCounts(before, acc->ExportState(), context);
+    }
+  }
+  // Non-finite still fails at decode, ahead of the budget check.
+  const Status nan = handle(WithReport(over_budget, 100, 50, std::nan("")));
+  EXPECT_EQ(nan.message(), "SW: non-finite report in chunk payload");
+  EXPECT_TRUE(handle(within_budget).ok());
+  EXPECT_EQ(ledger.spent_reports(wire::kDefaultTenant), 140u);
+}
+
+// A decoded SW chunk holds bucket indices, not the reports it was sent
+// with, so re-encoding it is a typed error that writes nothing.
+TEST(CollectorSessionTest, DecodedSwChunksDoNotReEncode) {
+  for (const auto pipeline :
+       {SwEstimatorOptions::Pipeline::kRandomizeBeforeBucketize,
+        SwEstimatorOptions::Pipeline::kBucketizeBeforeRandomize}) {
+    SwEstimatorOptions options;
+    options.d = 32;
+    options.pipeline = pipeline;
+    auto protocol = MakeSwProtocol(options).ValueOrDie();
+    const auto spec = wire::ParseMethodSpec("sw-ems", 1.0, 32).ValueOrDie();
+    for (const size_t reports : {size_t{0}, size_t{64}}) {
+      Rng rng(3);
+      auto chunk =
+          protocol->EncodePerturbBatch(TestValues(reports), rng).ValueOrDie();
+      std::string frame;
+      ASSERT_TRUE(
+          wire::EncodeReportFrame(spec, *protocol, *chunk, &frame).ok());
+      auto decoded =
+          wire::DecodeReportFrame(spec, *protocol, wire::FrameBytes(frame))
+              .ValueOrDie();
+      EXPECT_EQ(decoded->num_reports(), reports);
+      std::string payload;
+      ByteWriter writer(&payload);
+      const Status st = protocol->EncodeChunkPayload(*decoded, &writer);
+      EXPECT_EQ(st.code(), StatusCode::kFailedPrecondition) << st.ToString();
+      EXPECT_TRUE(payload.empty());
+    }
+  }
 }
 
 // ---------------------------------------------------------------------------

@@ -4,6 +4,8 @@
 //    d {16, 256, 1024};
 //  - merging decoded sketches reproduces the bit-identical in-process
 //    aggregate (and therefore the bit-identical reconstruction);
+//  - SW report sets on the edges of the bucket rule aggregate into fixed,
+//    known sketch bytes, for both report pipelines;
 //  - malformed input — truncated at any byte, bad magic, version skew,
 //    unknown enums, mismatched method/epsilon/dimension context, trailing
 //    bytes, corrupted counts — is a typed error, never UB.
@@ -12,16 +14,21 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cfloat>
+#include <cmath>
 #include <cstring>
+#include <limits>
 #include <memory>
 #include <string>
 #include <vector>
 
 #include "common/bytes.h"
+#include "common/crc32.h"
 #include "data/datasets.h"
 #include "eval/streaming.h"
 #include "protocol/sharded.h"
 #include "protocol/sw_protocol.h"
+#include "serve/collector.h"
 
 namespace numdist {
 namespace {
@@ -298,6 +305,119 @@ TEST(WireSpec, ParseMethodSpecCoversTheCliNames) {
     EXPECT_EQ(wire::MethodSpecName(*wire::ParseMethodSpec(name, 1.0, 64)),
               name);
   }
+}
+
+// ---------------------------------------------------------------------------
+// Known-answer sketch bytes. The server bucketizes every SW report once,
+// at decode; these pin its bucket rule to fixed CRC-32Cs of the sketch
+// frames an adversarial report set aggregates into. A bucket-rule change
+// that kept encoder and decoder consistent would still fail here, where a
+// comparison against a second run of the same code could not.
+
+// A report frame carrying exactly `reports`: a same-sized chunk is
+// encoded, then its f64 payload — the frame's last bytes — is overwritten.
+std::string FrameWithReports(const wire::MethodSpec& spec,
+                             const Protocol& protocol,
+                             const std::vector<double>& reports) {
+  Rng rng(1);
+  auto chunk =
+      protocol
+          .EncodePerturbBatch(std::vector<double>(reports.size(), 0.5), rng)
+          .ValueOrDie();
+  std::string frame;
+  EXPECT_TRUE(wire::EncodeReportFrame(spec, protocol, *chunk, &frame).ok());
+  std::string payload;
+  ByteWriter writer(&payload);
+  for (const double r : reports) writer.PutF64(r);
+  frame.replace(frame.size() - payload.size(), payload.size(), payload);
+  return frame;
+}
+
+// Continuous reports on the edges of the bucket rule over [-b, 1+b]:
+// signed zeros, both ends of the wave and their neighbours, every bucket
+// edge and its neighbours, huge magnitudes and denormals.
+std::vector<double> AdversarialContinuousReports(double b, size_t d_out) {
+  const double inf = std::numeric_limits<double>::infinity();
+  const double denorm = std::numeric_limits<double>::denorm_min();
+  const double lo = -b;
+  const double hi = 1.0 + b;
+  std::vector<double> reports = {
+      0.0,     -0.0,     1.0,     0.5,     1e300,   -1e300,
+      DBL_MAX, -DBL_MAX, DBL_MIN, -DBL_MIN, denorm, -denorm,
+      DBL_MIN / 3, -DBL_MIN / 3};
+  for (size_t k = 0; k <= d_out; ++k) {
+    const double edge =
+        k == 0 ? lo
+               : (k == d_out ? hi
+                             : lo + (hi - lo) * static_cast<double>(k) /
+                                        static_cast<double>(d_out));
+    reports.push_back(edge);
+    reports.push_back(std::nextafter(edge, -inf));
+    reports.push_back(std::nextafter(edge, inf));
+  }
+  return reports;
+}
+
+TEST(WireKnownAnswer, ContinuousSketchBytesThroughACollector) {
+  struct Case {
+    const char* method;
+    double epsilon;
+    uint32_t d;
+    uint32_t sketch_crc;
+  };
+  const Case cases[] = {{"sw-ems", 1.0, 16, 0xd6f57650u},
+                        {"sw-em", 4.0, 1000, 0x4c551610u}};
+  for (const Case& c : cases) {
+    const auto spec =
+        wire::ParseMethodSpec(c.method, c.epsilon, c.d).ValueOrDie();
+    auto session = serve::CollectorSession::Make(spec).ValueOrDie();
+    const auto estimator = SwEstimatorOf(*session.protocol());
+    ASSERT_NE(estimator, nullptr);
+    const std::vector<double> reports = AdversarialContinuousReports(
+        estimator->b(), estimator->output_buckets());
+    ASSERT_TRUE(
+        session
+            .HandleFrame(FrameWithReports(spec, *session.protocol(), reports))
+            .ok())
+        << c.method;
+    const std::string sketch = session.EncodeSketch().ValueOrDie();
+    EXPECT_EQ(Crc32c(sketch), c.sketch_crc)
+        << c.method << " d=" << c.d << ": sketch bytes changed";
+  }
+}
+
+// Collector sessions build their protocol from a MethodSpec, which pins
+// the continuous pipeline, so the discrete pipeline runs the same
+// decode -> absorb -> sketch steps on the protocol directly.
+TEST(WireKnownAnswer, DiscreteSketchBytesThroughTheDecoder) {
+  SwEstimatorOptions options;
+  options.epsilon = 1.0;
+  options.d = 16;
+  options.pipeline = SwEstimatorOptions::Pipeline::kBucketizeBeforeRandomize;
+  auto protocol = MakeSwProtocol(options).ValueOrDie();
+  const auto spec = wire::ParseMethodSpec("sw-ems", 1.0, 16).ValueOrDie();
+  const double buckets =
+      static_cast<double>(SwEstimatorOf(*protocol)->output_buckets());
+  const std::vector<double> reports = {
+      0.0,
+      -0.0,
+      buckets - 1,
+      std::nextafter(buckets, 0.0),
+      3.999,
+      0.5,
+      1.0,
+      std::nextafter(1.0, 0.0),
+      std::numeric_limits<double>::denorm_min(),
+      DBL_MIN};
+  auto decoded = wire::DecodeReportFrame(
+      spec, *protocol,
+      wire::FrameBytes(FrameWithReports(spec, *protocol, reports)));
+  ASSERT_TRUE(decoded.ok()) << decoded.status().ToString();
+  auto acc = protocol->MakeAccumulator();
+  ASSERT_TRUE(acc->Absorb(**decoded).ok());
+  std::string sketch;
+  ASSERT_TRUE(wire::EncodeSketchFrame(spec, *acc, &sketch).ok());
+  EXPECT_EQ(Crc32c(sketch), 0xb41c8159u) << "sketch bytes changed";
 }
 
 // ---------------------------------------------------------------------------
