@@ -1,9 +1,9 @@
 // Endian-stable byte IO: the primitives every wire layout in the library is
 // built from. All multi-byte integers are little-endian on the wire
-// regardless of host order; doubles travel as their IEEE-754 bit pattern
-// (exact — encode/decode round-trips are bit-identical, never lossy).
-// Bulk f64 arrays (LoadLittleEndianF64s) are one memcpy on little-endian
-// hosts and a per-value byte swap on big-endian ones.
+// regardless of host order. Bit-packed arrays (ByteWriter::PutPackedBits,
+// UnpackBits) are little-endian bit strings: value i of width w occupies
+// bits [i*w, (i+1)*w), LSB-first within each byte, with zero padding up to
+// the next byte.
 //
 // ByteWriter appends to a caller-owned std::string; ByteReader consumes a
 // read-only byte span with strict bounds checking — every underflow is a
@@ -11,6 +11,7 @@
 // (magic, versioning, payload layouts) live above this, in src/wire/.
 #pragma once
 
+#include <algorithm>
 #include <bit>
 #include <cassert>
 #include <cstdint>
@@ -33,16 +34,13 @@ class ByteWriter {
   void PutU32(uint32_t v) { PutLittleEndian(v); }
   void PutU64(uint64_t v) { PutLittleEndian(v); }
   void PutI64(int64_t v) { PutLittleEndian(static_cast<uint64_t>(v)); }
-  /// Writes the IEEE-754 bit pattern (exact round-trip).
-  void PutF64(double v) {
-    uint64_t bits = 0;
-    static_assert(sizeof(bits) == sizeof(v));
-    std::memcpy(&bits, &v, sizeof(bits));
-    PutU64(bits);
-  }
   void PutBytes(const void* data, size_t len) {
     out_->append(static_cast<const char*>(data), len);
   }
+  /// Appends `values` as a packed bit string of `width` bits per value
+  /// (1..32; each value must be below 2^width): PackedBytes(values.size(),
+  /// width) bytes, padding bits zero.
+  void PutPackedBits(std::span<const uint32_t> values, unsigned width);
 
  private:
   template <typename T>
@@ -128,24 +126,83 @@ class ByteReader {
   size_t pos_ = 0;
 };
 
-/// Decodes consecutive ByteWriter::PutF64 bit patterns: `src` holds
-/// exactly 8 bytes per element of `dst`.
-inline void LoadLittleEndianF64s(std::span<const uint8_t> src,
-                                 std::span<double> dst) {
+/// Bytes of a packed bit string of `n` values, `width` bits each:
+/// ceil(n * width / 8), computed without overflowing n * width.
+inline size_t PackedBytes(size_t n, unsigned width) {
+  return n / 8 * width + (n % 8 * width + 7) / 8;
+}
+
+/// Little-endian u64 at `p` (unaligned).
+inline uint64_t LoadLittleEndianU64(const uint8_t* p) {
   static_assert(std::endian::native == std::endian::little ||
                     std::endian::native == std::endian::big,
                 "mixed-endian hosts are not supported");
-  assert(src.size() == dst.size() * sizeof(double));
-  if constexpr (std::endian::native == std::endian::little) {
-    if (!dst.empty()) std::memcpy(dst.data(), src.data(), src.size());
-  } else {
-    for (size_t i = 0; i < dst.size(); ++i) {
-      uint64_t bits = 0;
-      for (size_t b = 0; b < sizeof(bits); ++b) {
-        bits |= static_cast<uint64_t>(src[i * sizeof(bits) + b]) << (8 * b);
-      }
-      std::memcpy(&dst[i], &bits, sizeof(bits));
+  uint64_t v = 0;
+  std::memcpy(&v, p, sizeof(v));
+  if constexpr (std::endian::native == std::endian::big) {
+    v = __builtin_bswap64(v);
+  }
+  return v;
+}
+
+inline void ByteWriter::PutPackedBits(std::span<const uint32_t> values,
+                                      unsigned width) {
+  assert(width >= 1 && width <= 32);
+  const size_t start = out_->size();
+  out_->resize(start + PackedBytes(values.size(), width));
+  char* dst = out_->data() + start;
+  uint64_t acc = 0;   // pending bits, LSB first
+  unsigned bits = 0;  // < 8 between values
+  for (const uint32_t v : values) {
+    assert(width == 32 || v < (uint32_t{1} << width));
+    acc |= static_cast<uint64_t>(v) << bits;
+    for (bits += width; bits >= 8; bits -= 8, acc >>= 8) {
+      *dst++ = static_cast<char>(acc & 0xFF);
     }
+  }
+  if (bits > 0) *dst = static_cast<char>(acc & 0xFF);
+}
+
+/// Unpacks `n` values of `width` bits (1..32) from `src`, which holds
+/// exactly PackedBytes(n, width) bytes (padding bits are not checked).
+/// Eight values span exactly `width` bytes, so every group of eight
+/// starts on a byte boundary: value k of a group is one 8-byte load at
+/// byte k*width/8, shifted by k*width%8. Groups whose loads stay inside
+/// `src` run branch-free; the last few go through a zero-padded copy, so
+/// nothing past `src` is ever read.
+inline void UnpackBits(std::span<const uint8_t> src, unsigned width,
+                       uint32_t* out, size_t n) {
+  assert(width >= 1 && width <= 32);
+  assert(src.size() == PackedBytes(n, width));
+  const uint64_t mask = (uint64_t{1} << width) - 1;
+  size_t at[8];
+  unsigned shift[8];
+  for (unsigned k = 0; k < 8; ++k) {
+    at[k] = k * width / 8;
+    shift[k] = k * width % 8;
+  }
+  const size_t reach = at[7] + sizeof(uint64_t);  // bytes a group loads
+  const size_t groups =
+      src.size() < reach
+          ? 0
+          : std::min(n / 8, (src.size() - reach) / width + 1);
+  const uint8_t* p = src.data();
+  for (size_t g = 0; g < groups; ++g, p += width, out += 8) {
+    for (unsigned k = 0; k < 8; ++k) {
+      out[k] = static_cast<uint32_t>(
+          (LoadLittleEndianU64(p + at[k]) >> shift[k]) & mask);
+    }
+  }
+  // The rest — fewer than `reach` (<= 36) bytes — from a zeroed copy
+  // with room for a full load at its last byte.
+  uint8_t tail[48] = {};
+  const size_t rest = src.size() - groups * width;
+  assert(rest < reach && rest + sizeof(uint64_t) <= sizeof(tail));
+  if (rest > 0) std::memcpy(tail, p, rest);
+  for (size_t i = 0; i < n - groups * 8; ++i) {
+    const size_t bit = i * width;
+    out[i] = static_cast<uint32_t>(
+        (LoadLittleEndianU64(tail + bit / 8) >> (bit % 8)) & mask);
   }
 }
 

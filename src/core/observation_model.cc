@@ -4,6 +4,7 @@
 #include <cassert>
 #include <cmath>
 #include <limits>
+#include <string>
 
 #include "kernels/kernels.h"
 
@@ -341,6 +342,30 @@ void SlidingWindowObservationModel::ApplyTranspose(
     const double hm = minus.Advance(c - b_);
     (*out)[i] = background + scale * (hp - hm);
   }
+}
+
+Status SlidingWindowObservationModel::Validate(double tol) const {
+  // Entry range of the closed form: background + height * overlap, where
+  // the overlap (a fraction of the output bucket's mass, see Apply) runs
+  // from 0 up to the wave's reach into one output bucket.
+  const double background = discrete_ ? q_ : q_ * w_out_;
+  const double height =
+      discrete_ ? p_ - q_ : (p_ - q_) * std::min(w_out_, 2.0 * b_);
+  const double lo = std::min(background, background + height);
+  const double hi = std::max(background, background + height);
+  if (!(lo >= -tol && hi <= 1.0 + tol)) {
+    return Status::Internal("transition entries span [" + std::to_string(lo) +
+                            ", " + std::to_string(hi) + "], not in [0,1]");
+  }
+  std::vector<double> sums;
+  ApplyTranspose(std::vector<double>(rows_, 1.0), &sums);
+  for (size_t i = 0; i < cols_; ++i) {
+    if (!(std::fabs(sums[i] - 1.0) <= tol)) {  // NaN fails too
+      return Status::Internal("transition column " + std::to_string(i) +
+                              " sums to " + std::to_string(sums[i]));
+    }
+  }
+  return Status::OK();
 }
 
 }  // namespace numdist

@@ -19,6 +19,7 @@
 #include <vector>
 
 #include "common/matrix.h"
+#include "common/status.h"
 #include "core/square_wave.h"
 
 namespace numdist {
@@ -175,6 +176,14 @@ class SlidingWindowObservationModel final : public ObservationModel {
              std::vector<double>* y) const override;
   void ApplyTranspose(const std::vector<double>& z,
                       std::vector<double>* out) const override;
+
+  /// ValidateTransitionMatrix (core/transition.h) for the operator, in
+  /// O(d + d_out) without materializing it: every entry lies in [0, 1]
+  /// (the closed form bounds them between the background q w and
+  /// q w + (p - q) times the largest window overlap) and every column
+  /// sums to 1 within `tol` (ApplyTranspose of all-ones, so the check
+  /// runs the arithmetic EM runs). Internal error otherwise.
+  Status Validate(double tol = 1e-8) const;
 
  private:
   SlidingWindowObservationModel() = default;

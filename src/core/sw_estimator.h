@@ -1,6 +1,6 @@
 // End-to-end Square Wave distribution estimator — the library's primary
 // public API. Wires together: SW reporting (continuous R-B or discrete B-R),
-// report bucketization, the exact transition matrix, and EM/EMS
+// report bucketization, the exact observation model, and EM/EMS
 // reconstruction (paper §5).
 #pragma once
 
@@ -8,7 +8,6 @@
 #include <span>
 #include <vector>
 
-#include "common/matrix.h"
 #include "common/result.h"
 #include "common/rng.h"
 #include "core/em.h"
@@ -55,7 +54,9 @@ struct SwEstimatorOptions {
 /// \endcode
 class SwEstimator {
  public:
-  /// Validates options and builds the estimator (transition matrix included).
+  /// Validates options and builds the estimator, observation model included
+  /// (validated like a dense transition matrix, see
+  /// SlidingWindowObservationModel::Validate).
   static Result<SwEstimator> Make(const SwEstimatorOptions& options);
 
   /// Client-side report for one private value v in [0, 1]. For the
@@ -80,13 +81,15 @@ class SwEstimator {
     bool out_of_domain = false;
   };
 
-  /// Server-side bucket rule, batch form: out[i] is the output bucket of
+  /// The bucket rule, batch form: out[i] is the output bucket of
   /// reports[i], for out[0..reports.size()). Continuous reports go through
   /// hist::BucketOf(r, output_buckets(), -b, 1 + b), so out-of-range
   /// values clamp to the edge buckets; discrete reports truncate to their
   /// index. One branch-free pass: a non-finite report, or a discrete one
   /// outside the domain, is written as bucket 0 and flagged in the result,
-  /// so the caller must reject the batch when either flag is set.
+  /// so the caller must reject the batch when either flag is set. Clients
+  /// run it before they send (reports travel as bucket indices), and the
+  /// in-process absorb of client-encoded chunks runs it too.
   BucketizeCheck BucketizeInto(std::span<const double> reports,
                                uint32_t* out) const;
 
@@ -124,12 +127,14 @@ class SwEstimator {
   Result<std::vector<double>> EstimateDistribution(
       const std::vector<double>& values, Rng& rng) const;
 
-  /// The dense observation matrix (d_out' x d). Kept for validation, tests
-  /// and diagnostics only — reconstruction runs through the O(d) analytic
-  /// operator returned by model().
-  const Matrix& transition() const { return transition_; }
-  /// The analytic sliding-window operator EM actually iterates with.
+  /// The analytic sliding-window operator EM iterates with. The dense
+  /// matrix it stands for is never built here; SquareWave::TransitionMatrix
+  /// and DiscreteSquareWave::TransitionMatrix give it, for tests.
   const ObservationModel& model() const { return model_; }
+  /// The continuous mechanism (randomize-before-bucketize pipeline).
+  const SquareWave& wave() const { return sw_; }
+  /// The discrete mechanism (bucketize-before-randomize pipeline).
+  const DiscreteSquareWave& discrete_wave() const { return dsw_; }
   const SwEstimatorOptions& options() const { return options_; }
   /// The resolved EM iteration controls (paper-default tolerances applied).
   /// IncrementalReconstructor budgets its per-update runs from these.
@@ -137,17 +142,16 @@ class SwEstimator {
   /// Resolved wave half-width (continuous scale).
   double b() const;
   /// Number of output buckets actually used.
-  size_t output_buckets() const { return transition_.rows(); }
+  size_t output_buckets() const { return model_.rows(); }
 
  private:
   SwEstimator(SwEstimatorOptions options, SquareWave sw,
-              DiscreteSquareWave dsw, Matrix transition,
-              SlidingWindowObservationModel model, EmOptions em_options);
+              DiscreteSquareWave dsw, SlidingWindowObservationModel model,
+              EmOptions em_options);
 
   SwEstimatorOptions options_;
   SquareWave sw_;           // used by the continuous pipeline
   DiscreteSquareWave dsw_;  // used by the discrete pipeline
-  Matrix transition_;
   // Analytic q-background + box-kernel view of the transition used by EM:
   // O(d + d_out) per product, bandwidth-independent, never materialized
   // (see observation_model.h).

@@ -1,6 +1,6 @@
 #include "protocol/sw_protocol.h"
 
-#include <algorithm>
+#include <bit>
 #include <memory>
 #include <span>
 #include <utility>
@@ -9,11 +9,11 @@ namespace numdist {
 
 namespace {
 
-// Client-encoded chunks (EncodePerturbBatch) carry the raw per-user SW
-// reports — a real in [-b, 1+b] for the continuous pipeline, an output
-// bucket index for the discrete one — because that is what the wire
-// carries. Decoded chunks (DecodeChunkPayload) carry each report's output
-// bucket instead, computed once at decode: the server only ever counts
+// Client-encoded chunks (EncodePerturbBatch, MakeSwReportChunk) carry the
+// raw per-user SW reports — a real in [-b, 1+b] for the continuous
+// pipeline, an output bucket index for the discrete one. The wire carries
+// each report's output bucket instead (the client bucketizes at encode),
+// and that is all a decoded chunk holds: the server only ever counts
 // them, so a decoded chunk absorbs like its encoder's but cannot be
 // re-encoded.
 class SwChunk final : public ReportChunk {
@@ -24,12 +24,18 @@ class SwChunk final : public ReportChunk {
   std::vector<double> reports;    // client-encoded chunks
   std::vector<uint32_t> indices;  // decoded chunks
   bool decoded = false;
-  // A decoded discrete report fell outside the output domain. Absorb, not
-  // decode, rejects it, so a collector charges the tenant budget first.
+  // A decoded index fell outside the output domain (possible when the
+  // bucket count is not a power of two). Absorb, not decode, rejects it,
+  // so a collector charges the tenant budget first.
   bool out_of_domain = false;
   size_t output_buckets = 0;  // aggregation shape the chunk was encoded for
   bool discrete = false;      // bucketize-before-randomize pipeline
 };
+
+// Bits per report on the wire: enough for the largest bucket index.
+unsigned IndexBits(size_t output_buckets) {
+  return static_cast<unsigned>(std::bit_width(output_buckets - 1));
+}
 
 class SwAccumulator final : public Accumulator {
  public:
@@ -121,9 +127,9 @@ class SwAccumulator final : public Accumulator {
 
  private:
   const SwEstimator* estimator_;
-  // Folds bucket indices in, all or nothing. Discrete reports come from
-  // untrusted clients, so one outside the output domain rejects the whole
-  // chunk (the continuous pipeline clamps instead).
+  // Folds bucket indices in, all or nothing. Wire indices and discrete
+  // reports come from untrusted clients, so one outside the output domain
+  // rejects the whole chunk (continuous reports clamp instead).
   Status Count(std::span<const uint32_t> indices, bool out_of_domain) {
     if (out_of_domain) {
       return Status::InvalidArgument("SW: report out of output domain");
@@ -160,17 +166,29 @@ class SwProtocol final : public Protocol {
 
   Result<std::unique_ptr<ReportChunk>> EncodePerturbBatch(
       std::span<const double> values, Rng& rng) const override {
+    std::vector<double> reports;
+    estimator_->PerturbBatch(values, rng, &reports);
+    return WrapReports(std::move(reports));
+  }
+
+  // A client-encoded chunk of this protocol holding `reports`.
+  std::unique_ptr<ReportChunk> WrapReports(std::vector<double> reports) const {
     auto chunk = std::make_unique<SwChunk>();
     chunk->output_buckets = estimator_->output_buckets();
-    chunk->discrete =
-        estimator_->options().pipeline ==
-        SwEstimatorOptions::Pipeline::kBucketizeBeforeRandomize;
-    estimator_->PerturbBatch(values, rng, &chunk->reports);
-    return std::unique_ptr<ReportChunk>(std::move(chunk));
+    chunk->discrete = discrete();
+    chunk->reports = std::move(reports);
+    return chunk;
+  }
+
+  bool discrete() const {
+    return estimator_->options().pipeline ==
+           SwEstimatorOptions::Pipeline::kBucketizeBeforeRandomize;
   }
 
   // Wire payload (docs/WIRE_FORMAT.md): u8 pipeline flag, u32 output
-  // buckets, u64 report count, then one f64 bit pattern per report.
+  // buckets, u64 report count, then each report's output bucket packed at
+  // IndexBits(output buckets) bits. The client runs the server's bucket
+  // rule here, so a report that rule would reject fails now, at encode.
   Status EncodeChunkPayload(const ReportChunk& chunk,
                             ByteWriter* out) const override {
     const auto* sw_chunk = dynamic_cast<const SwChunk*>(&chunk);
@@ -182,23 +200,33 @@ class SwProtocol final : public Protocol {
           "SW: a decoded chunk holds bucket indices and cannot be "
           "re-encoded");
     }
+    if (sw_chunk->output_buckets != estimator_->output_buckets() ||
+        sw_chunk->discrete != discrete()) {
+      return Status::InvalidArgument("SW: chunk shape mismatch");
+    }
+    std::vector<uint32_t> indices(sw_chunk->reports.size());
+    const SwEstimator::BucketizeCheck check =
+        estimator_->BucketizeInto(sw_chunk->reports, indices.data());
+    if (check.non_finite) {
+      return Status::InvalidArgument("SW: non-finite report in chunk");
+    }
+    if (check.out_of_domain) {
+      return Status::InvalidArgument("SW: report out of output domain");
+    }
     out->PutU8(sw_chunk->discrete ? 1 : 0);
     out->PutU32(static_cast<uint32_t>(sw_chunk->output_buckets));
-    out->PutU64(sw_chunk->reports.size());
-    for (double r : sw_chunk->reports) out->PutF64(r);
+    out->PutU64(indices.size());
+    out->PutPackedBits(indices, IndexBits(sw_chunk->output_buckets));
     return Status::OK();
   }
 
   Result<std::unique_ptr<ReportChunk>> DecodeChunkPayload(
       ByteReader* in) const override {
-    NUMDIST_ASSIGN_OR_RETURN(const uint8_t discrete, in->U8());
-    if (discrete > 1) {
+    NUMDIST_ASSIGN_OR_RETURN(const uint8_t discrete_flag, in->U8());
+    if (discrete_flag > 1) {
       return Status::InvalidArgument("SW: bad pipeline flag in chunk payload");
     }
-    const bool expect_discrete =
-        estimator_->options().pipeline ==
-        SwEstimatorOptions::Pipeline::kBucketizeBeforeRandomize;
-    if ((discrete == 1) != expect_discrete) {
+    if ((discrete_flag == 1) != discrete()) {
       return Status::InvalidArgument(
           "SW: chunk pipeline does not match this protocol");
     }
@@ -208,36 +236,33 @@ class SwProtocol final : public Protocol {
           "SW: chunk output-bucket count does not match this protocol");
     }
     NUMDIST_ASSIGN_OR_RETURN(const uint64_t count, in->U64());
-    if (count > in->remaining() / sizeof(double)) {
+    // count <= floor(8 * room / width), without forming count * width.
+    const unsigned width = IndexBits(buckets);
+    const size_t room = in->remaining();
+    if (count > room / width * 8 + room % width * 8 / width) {
       return Status::OutOfRange(
           "SW: chunk report count exceeds the remaining payload");
     }
-    NUMDIST_ASSIGN_OR_RETURN(const std::span<const uint8_t> payload,
-                             in->Take(count * sizeof(double)));
+    NUMDIST_ASSIGN_OR_RETURN(const std::span<const uint8_t> packed,
+                             in->Take(PackedBytes(count, width)));
+    // One byte encoding per report set: the padding bits must be zero.
+    const unsigned used = count % 8 * width % 8;  // bits used in last byte
+    if (used != 0 && (packed.back() >> used) != 0) {
+      return Status::InvalidArgument(
+          "SW: nonzero padding bits in chunk payload");
+    }
     auto chunk = std::make_unique<SwChunk>();
     chunk->decoded = true;
-    chunk->discrete = discrete == 1;
+    chunk->discrete = discrete_flag == 1;
     chunk->output_buckets = buckets;
     chunk->indices.resize(count);
-    // Straight from the wire bytes to bucket indices, a cache-sized block
-    // at a time. Wire reports are untrusted: finite out-of-range values
-    // are safe (clamped, or flagged for Absorb to reject), but a NaN or
-    // infinity fails the whole chunk here, at the trust boundary.
-    constexpr size_t kBlock = 512;
-    double block[kBlock];
-    bool non_finite = false;
-    for (size_t i = 0; i < count; i += kBlock) {
-      const size_t m = std::min<size_t>(kBlock, count - i);
-      LoadLittleEndianF64s(payload.subspan(i * sizeof(double),
-                                           m * sizeof(double)),
-                           std::span<double>(block, m));
-      const SwEstimator::BucketizeCheck check = estimator_->BucketizeInto(
-          std::span<const double>(block, m), chunk->indices.data() + i);
-      non_finite |= check.non_finite;
-      chunk->out_of_domain |= check.out_of_domain;
-    }
-    if (non_finite) {
-      return Status::InvalidArgument("SW: non-finite report in chunk payload");
+    UnpackBits(packed, width, chunk->indices.data(), count);
+    // Every width-bit index is in range when the bucket count is a power
+    // of two; otherwise a hostile one may not be.
+    if (!std::has_single_bit(buckets)) {
+      bool out_of_domain = false;
+      for (const uint32_t j : chunk->indices) out_of_domain |= j >= buckets;
+      chunk->out_of_domain = out_of_domain;
     }
     return std::unique_ptr<ReportChunk>(std::move(chunk));
   }
@@ -275,6 +300,15 @@ Result<ProtocolPtr> MakeSwProtocol(const SwEstimatorOptions& options) {
 std::shared_ptr<const SwEstimator> SwEstimatorOf(const Protocol& protocol) {
   const auto* sw = dynamic_cast<const SwProtocol*>(&protocol);
   return sw == nullptr ? nullptr : sw->estimator();
+}
+
+Result<std::unique_ptr<ReportChunk>> MakeSwReportChunk(
+    const Protocol& protocol, std::vector<double> reports) {
+  const auto* sw = dynamic_cast<const SwProtocol*>(&protocol);
+  if (sw == nullptr) {
+    return Status::InvalidArgument("SW: not an SW protocol");
+  }
+  return sw->WrapReports(std::move(reports));
 }
 
 }  // namespace numdist

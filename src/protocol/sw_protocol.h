@@ -6,6 +6,7 @@
 #pragma once
 
 #include <memory>
+#include <vector>
 
 #include "core/sw_estimator.h"
 #include "protocol/protocol.h"
@@ -20,5 +21,14 @@ Result<ProtocolPtr> MakeSwProtocol(const SwEstimatorOptions& options);
 /// with, shared rather than copied — so a live estimator can run on the
 /// model the protocol already built. Null for any other protocol.
 std::shared_ptr<const SwEstimator> SwEstimatorOf(const Protocol& protocol);
+
+/// A client-encoded chunk of an SW protocol holding exactly `reports`, as
+/// if EncodePerturbBatch had produced them: raw SwEstimator reports (a
+/// real for the continuous pipeline, a bucket index as a double for the
+/// discrete one). Lets a caller push a chosen report set through
+/// EncodeChunkPayload or Absorb, whose checks it meets unfiltered.
+/// InvalidArgument for any other protocol.
+Result<std::unique_ptr<ReportChunk>> MakeSwReportChunk(
+    const Protocol& protocol, std::vector<double> reports);
 
 }  // namespace numdist

@@ -62,7 +62,10 @@ namespace numdist::serve {
 
 /// First 4 bytes of every WAL file: "NDWL" on disk.
 inline constexpr uint32_t kWalMagic = 0x4C57444E;
-inline constexpr uint16_t kWalVersion = 1;
+/// On-disk format version. Frame records embed wire frames verbatim, so a
+/// wire-format version bump bumps this too: version 2 logs hold wire
+/// version 2 frames. Replay accepts exactly this version.
+inline constexpr uint16_t kWalVersion = 2;
 /// Bytes of the file header preceding the first record.
 inline constexpr uint64_t kWalHeaderBytes = 8;
 /// Per-record body ceiling: a frame record holds at most one

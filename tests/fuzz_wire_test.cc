@@ -16,6 +16,7 @@
 // (base frame, seed, iteration) triple that replays exactly.
 #include <gtest/gtest.h>
 
+#include <bit>
 #include <cstdio>
 #include <cstring>
 #include <fstream>
@@ -23,13 +24,16 @@
 #include <span>
 #include <sstream>
 #include <string>
+#include <tuple>
 #include <vector>
 
+#include "common/bytes.h"
 #include "common/mutator.h"
 #include "common/rng.h"
 #include "data/datasets.h"
 #include "eval/streaming.h"
 #include "protocol/sharded.h"
+#include "protocol/sw_protocol.h"
 #include "serve/collector.h"
 #include "serve/framing.h"
 #include "serve/wal.h"
@@ -432,6 +436,119 @@ TEST(FuzzWire, MutatedWalReplaysToTypedErrorOrPrefix) {
   EXPECT_GT(replayed_ok, 0u);
   std::remove(path.c_str());
   std::remove(mutant_path.c_str());
+}
+
+// The SW packed payload (wire version 2): report i's output bucket sits
+// at bits [i*w, (i+1)*w) of the frame's last PackedBytes(count, w) bytes,
+// padding bits zero. Mutants aimed at that tail — bit flips in the packed
+// bytes (padding bits included), cuts and extensions of the last bytes,
+// and lies in the u64 count in front of them — on a power-of-two width,
+// a non-power-of-two width (indices past the bucket count fit the width)
+// and the discrete pipeline. Every outcome is a typed error or a chunk
+// that absorbs exactly its count, or fails absorb as out of domain; a
+// rejected frame leaves a collector's state byte-identical.
+TEST(FuzzWire, PackedTailMutantsAreTypedErrorsOrExactAbsorbs) {
+  struct Base {
+    std::string name;
+    wire::MethodSpec spec;
+    std::shared_ptr<Protocol> protocol;
+    size_t count;
+  };
+  std::vector<Base> bases;
+  for (const auto& [method, d, count] :
+       {std::tuple{"sw-ems", uint32_t{64}, size_t{251}},
+        std::tuple{"sw-em", uint32_t{1000}, size_t{203}}}) {
+    const wire::MethodSpec spec =
+        wire::ParseMethodSpec(method, 1.0, d).ValueOrDie();
+    bases.push_back({std::string(method) + "/d=" + std::to_string(d), spec,
+                     wire::MakeProtocolForSpec(spec).ValueOrDie(), count});
+  }
+  {
+    SwEstimatorOptions options;
+    options.d = 16;
+    options.pipeline = SwEstimatorOptions::Pipeline::kBucketizeBeforeRandomize;
+    bases.push_back({"sw-ems/discrete d=16",
+                     wire::ParseMethodSpec("sw-ems", 1.0, 16).ValueOrDie(),
+                     MakeSwProtocol(options).ValueOrDie(), 77});
+  }
+  size_t total = 0;
+  for (size_t b = 0; b < bases.size(); ++b) {
+    const Base& base = bases[b];
+    const size_t buckets = SwEstimatorOf(*base.protocol)->output_buckets();
+    const auto width = static_cast<unsigned>(std::bit_width(buckets - 1));
+    Rng rng(ShardSeed(31, b));
+    auto chunk = base.protocol
+                     ->EncodePerturbBatch(GoldenRatioValues(base.count), rng)
+                     .ValueOrDie();
+    std::string clean;
+    ASSERT_TRUE(
+        wire::EncodeReportFrame(base.spec, *base.protocol, *chunk, &clean)
+            .ok());
+    const size_t packed = PackedBytes(base.count, width);
+    const size_t count_at = clean.size() - packed - sizeof(uint64_t);
+    serve::CollectorSession session =
+        serve::CollectorSession::Make(base.spec).ValueOrDie();
+
+    Rng fuzz(0x5EED0000 + b);
+    for (size_t i = 0; i < 3000; ++i, ++total) {
+      std::string mutant = clean;
+      const uint64_t kind = fuzz.UniformInt(4);
+      if (kind == 0) {  // flip 1..3 bits in the last 16 packed bytes
+        const size_t span = std::min<size_t>(16, packed);
+        for (uint64_t f = 0; f <= fuzz.UniformInt(3); ++f) {
+          const size_t at = mutant.size() - 1 - fuzz.UniformInt(span);
+          mutant[at] = static_cast<char>(mutant[at] ^ (1 << fuzz.UniformInt(8)));
+        }
+      } else if (kind == 1) {  // cut 1..width bytes
+        mutant.resize(mutant.size() - 1 - fuzz.UniformInt(width));
+      } else if (kind == 2) {  // extend by 1..8 random bytes
+        for (uint64_t e = 0; e <= fuzz.UniformInt(8); ++e) {
+          mutant.push_back(static_cast<char>(fuzz.UniformInt(256)));
+        }
+      } else {  // count lie: near the truth, or hostile
+        const uint64_t lies[] = {base.count + 1 + fuzz.UniformInt(16),
+                                 base.count - 1 - fuzz.UniformInt(16),
+                                 fuzz.Next(), ~uint64_t{0},
+                                 uint64_t{1} << (61 + fuzz.UniformInt(3))};
+        std::string bytes;
+        ByteWriter(&bytes).PutU64(lies[fuzz.UniformInt(5)]);
+        mutant.replace(count_at, bytes.size(), bytes);
+      }
+      SCOPED_TRACE(base.name + " iteration " + std::to_string(i) + " kind " +
+                   std::to_string(kind));
+      auto decoded = wire::DecodeReportFrame(base.spec, *base.protocol,
+                                             wire::FrameBytes(mutant));
+      if (!decoded.ok()) {
+        const StatusCode code = decoded.status().code();
+        EXPECT_TRUE(code == StatusCode::kOutOfRange ||
+                    code == StatusCode::kInvalidArgument)
+            << decoded.status().ToString();
+        if (kind == 1 || kind == 2) {
+          EXPECT_EQ(code, kind == 1 ? StatusCode::kOutOfRange
+                                    : StatusCode::kInvalidArgument);
+        }
+      } else {
+        auto acc = base.protocol->MakeAccumulator();
+        const Status absorbed = acc->Absorb(**decoded);
+        if (absorbed.ok()) {
+          EXPECT_EQ(acc->num_reports(), (*decoded)->num_reports());
+        } else {
+          EXPECT_EQ(absorbed.message(), "SW: report out of output domain");
+          EXPECT_FALSE(std::has_single_bit(buckets));
+          EXPECT_EQ(acc->num_reports(), 0u);
+        }
+      }
+      // A collector (continuous pipeline only) keeps no trace of a
+      // rejected frame.
+      if (b < 2) {
+        const AccumulatorState before = session.ExportState();
+        if (!session.HandleFrame(mutant).ok()) {
+          ASSERT_TRUE(SameState(before, session.ExportState()));
+        }
+      }
+    }
+  }
+  EXPECT_EQ(total, 9000u);
 }
 
 // The seeded sweep is replayable: the same seed produces the same mutants.

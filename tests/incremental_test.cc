@@ -39,6 +39,7 @@
 #include "serve/collector.h"
 #include "stats/conformance.h"
 #include "wire/wire.h"
+#include "sw_dense_oracle.h"
 
 namespace numdist {
 namespace {
@@ -88,8 +89,8 @@ RollingWorkload MakeRollingWorkload(uint64_t seed, double epsilon, size_t d,
 
 double ForwardKs(const SwEstimator& estimator, const std::vector<double>& x,
                  const std::vector<double>& y) {
-  return KsDistance(estimator.transition().Multiply(x),
-                    estimator.transition().Multiply(y));
+  const Matrix transition = DenseTransition(estimator);
+  return KsDistance(transition.Multiply(x), transition.Multiply(y));
 }
 
 TEST(WarmStartTest, RollingWarmRunsReachTheColdFixedPoint) {

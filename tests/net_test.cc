@@ -28,12 +28,14 @@
 #include <thread>
 #include <vector>
 
+#include "common/bytes.h"
 #include "common/mutator.h"
 #include "common/rng.h"
 #include "data/datasets.h"
 #include "net/client.h"
 #include "net/socket.h"
 #include "protocol/sharded.h"
+#include "protocol/sw_protocol.h"
 #include "serve/collector.h"
 #include "serve/framing.h"
 #include "wire/wire.h"
@@ -518,17 +520,22 @@ TEST(AddStreamTest, EofReadWithTheLastFramesStillAcksThem) {
         wire::StampSequenceContext(&frame, {.epoch = 5, .seq = seq}).ok());
     return frame;
   };
-  // Frame size is affine in the report count: solve for four frames that
-  // fill exactly 64 KiB with their length prefixes.
-  const size_t step = stamped(2, 1).size() - stamped(1, 1).size();
-  const size_t fixed = 4 + stamped(1, 1).size() - step;
+  // A frame is a fixed head plus its reports' packed 5-bit bucket
+  // indices, and floor(8 R / 5) reports pack into exactly R bytes: solve
+  // for four frames that fill exactly 64 KiB with their length prefixes.
+  const unsigned width = 5;
+  ASSERT_EQ(SwEstimatorOf(*protocol)->output_buckets(), 32u);
+  const size_t head = 4 + stamped(0, 1).size();
   const size_t bytes = 64 * 1024;
-  ASSERT_EQ((bytes - 4 * fixed) % step, 0u);
-  const size_t reports = (bytes - 4 * fixed) / step;
+  const size_t packed = bytes - 4 * head;
+  size_t reports = 0;
   std::vector<std::string> frames;
   for (uint64_t seq = 1; seq <= 4; ++seq) {
-    frames.push_back(stamped(seq < 4 ? reports / 4 : reports - 3 * (reports / 4),
-                             seq));
+    const size_t frame_packed = seq < 4 ? packed / 4 : packed - 3 * (packed / 4);
+    const size_t frame_reports = frame_packed * 8 / width;
+    ASSERT_EQ(PackedBytes(frame_reports, width), frame_packed);
+    frames.push_back(stamped(frame_reports, seq));
+    reports += frame_reports;
   }
   const std::string input = EncodeFrames(frames);
   ASSERT_EQ(input.size(), bytes);

@@ -15,11 +15,15 @@
 #include <unistd.h>
 
 #include <atomic>
+#include <bit>
 #include <cerrno>
 #include <csignal>
 #include <cmath>
+#include <cstdio>
 #include <cstring>
+#include <fstream>
 #include <limits>
+#include <memory>
 #include <span>
 #include <sstream>
 #include <string>
@@ -34,6 +38,7 @@
 #include "protocol/sharded.h"
 #include "protocol/sw_protocol.h"
 #include "serve/framing.h"
+#include "serve/wal.h"
 #include "wire/wire.h"
 
 namespace numdist {
@@ -392,21 +397,12 @@ TEST(CollectorSessionTest, DefaultTenantBudgetCapsUntaggedFrames) {
 }
 
 // ---------------------------------------------------------------------------
-// SW report errors: where each is raised decides whether the tenant budget
-// is charged first, and none may move state. A non-finite report fails at
-// decode, before the charge; a discrete report outside the output domain
-// fails at absorb, after it.
-
-// Overwrites report `index` of an SW report frame carrying `count`
-// reports (the f64 payload is the frame's last count * 8 bytes).
-std::string WithReport(std::string frame, size_t count, size_t index,
-                       double value) {
-  std::string bits;
-  ByteWriter(&bits).PutF64(value);
-  frame.replace(frame.size() - (count - index) * sizeof(double),
-                sizeof(double), bits);
-  return frame;
-}
+// SW reports at the trust boundary. Clients bucketize before they send
+// (wire version 2), so a report the bucket rule rejects fails at encode
+// and writes nothing; the collector sees only packed bucket indices. A
+// malformed packed payload fails at decode, before the tenant budget is
+// charged; an index outside the output domain fails at absorb, after it.
+// None of them may move state.
 
 void ExpectSameCounts(const AccumulatorState& a, const AccumulatorState& b,
                       const std::string& context) {
@@ -417,105 +413,304 @@ void ExpectSameCounts(const AccumulatorState& a, const AccumulatorState& b,
   }
 }
 
-TEST(CollectorSessionTest, NonFiniteReportAnywhereFailsWithoutSideEffects) {
+// Wire bits per report of an SW protocol (docs/WIRE_FORMAT.md).
+unsigned IndexBitsOf(const Protocol& protocol) {
+  return static_cast<unsigned>(
+      std::bit_width(SwEstimatorOf(protocol)->output_buckets() - 1));
+}
+
+// Overwrites packed index `index` of an SW report frame carrying `count`
+// reports at `width` bits each (the packed indices are the frame's last
+// PackedBytes(count, width) bytes).
+std::string WithIndex(std::string frame, size_t count, unsigned width,
+                      size_t index, uint32_t value) {
+  const size_t start = frame.size() - PackedBytes(count, width);
+  for (unsigned b = 0; b < width; ++b) {
+    const size_t bit = index * width + b;
+    const auto mask = static_cast<unsigned char>(1u << (bit % 8));
+    auto byte = static_cast<unsigned char>(frame[start + bit / 8]);
+    byte = ((value >> b) & 1) != 0 ? byte | mask : byte & ~mask;
+    frame[start + bit / 8] = static_cast<char>(byte);
+  }
+  return frame;
+}
+
+// The raw client reports of `count` values under `protocol`'s estimator.
+std::vector<double> RawReports(const Protocol& protocol, size_t count,
+                               uint64_t seed) {
+  Rng rng(seed);
+  std::vector<double> reports;
+  SwEstimatorOf(protocol)->PerturbBatch(TestValues(count), rng, &reports);
+  return reports;
+}
+
+SwEstimatorOptions DiscreteOptions(size_t d) {
+  SwEstimatorOptions options;
+  options.epsilon = 1.0;
+  options.d = d;
+  options.pipeline = SwEstimatorOptions::Pipeline::kBucketizeBeforeRandomize;
+  return options;
+}
+
+TEST(CollectorSessionTest, RejectedReportsFailAtEncodeAndWriteNothing) {
   const auto spec = wire::ParseMethodSpec("sw-ems", 1.0, 32).ValueOrDie();
-  auto protocol = wire::MakeProtocolForSpec(spec).ValueOrDie();
+  const std::shared_ptr<const Protocol> continuous =
+      wire::MakeProtocolForSpec(spec).ValueOrDie();
+  const std::shared_ptr<const Protocol> discrete =
+      MakeSwProtocol(DiscreteOptions(32)).ValueOrDie();
+  const double inf = std::numeric_limits<double>::infinity();
+  constexpr size_t kCount = 300;
+  struct Bad {
+    const Protocol* protocol;
+    double value;
+    const char* message;
+  };
+  const double buckets =
+      static_cast<double>(SwEstimatorOf(*discrete)->output_buckets());
+  std::vector<Bad> bad;
+  for (const Protocol* protocol : {continuous.get(), discrete.get()}) {
+    for (const double v : {std::nan(""), inf, -inf}) {
+      bad.push_back({protocol, v, "SW: non-finite report in chunk"});
+    }
+  }
+  for (const double v : {buckets, std::nextafter(0.0, -1.0), -1.0, 1e300}) {
+    bad.push_back({discrete.get(), v, "SW: report out of output domain"});
+  }
+  for (const Bad& b : bad) {
+    const std::vector<double> clean = RawReports(*b.protocol, kCount, 6);
+    for (const size_t index : {size_t{0}, kCount / 2, kCount - 1}) {
+      const std::string context = b.protocol->name() + " value " +
+                                  std::to_string(b.value) + " at " +
+                                  std::to_string(index);
+      std::vector<double> reports = clean;
+      reports[index] = b.value;
+      auto chunk = MakeSwReportChunk(*b.protocol, reports).ValueOrDie();
+      std::string payload;
+      ByteWriter writer(&payload);
+      const Status st = b.protocol->EncodeChunkPayload(*chunk, &writer);
+      EXPECT_EQ(st.code(), StatusCode::kInvalidArgument) << context;
+      EXPECT_EQ(st.message(), b.message) << context;
+      EXPECT_TRUE(payload.empty()) << context;
+      std::string frames = "earlier frames";
+      EXPECT_EQ(
+          wire::EncodeReportFrame(spec, *b.protocol, *chunk, &frames).code(),
+          StatusCode::kInvalidArgument)
+          << context;
+      EXPECT_EQ(frames, "earlier frames") << context;
+      // In-process absorb of the same chunk fails the same way.
+      EXPECT_EQ(b.protocol->MakeAccumulator()->Absorb(*chunk).message(),
+                b.message)
+          << context;
+    }
+    // The reports without the bad one still encode and land.
+    auto chunk = MakeSwReportChunk(*b.protocol, clean).ValueOrDie();
+    std::string frame;
+    ASSERT_TRUE(wire::EncodeReportFrame(spec, *b.protocol, *chunk, &frame).ok());
+    auto decoded =
+        wire::DecodeReportFrame(spec, *b.protocol, wire::FrameBytes(frame))
+            .ValueOrDie();
+    auto via_wire = b.protocol->MakeAccumulator();
+    auto direct = b.protocol->MakeAccumulator();
+    ASSERT_TRUE(via_wire->Absorb(*decoded).ok());
+    ASSERT_TRUE(direct->Absorb(*chunk).ok());
+    ExpectSameCounts(direct->ExportState(), via_wire->ExportState(),
+                     b.protocol->name());
+  }
+  EXPECT_EQ(MakeSwReportChunk(*wire::MakeProtocolForSpec(
+                                   wire::ParseMethodSpec("cfo-16", 1.0, 32)
+                                       .ValueOrDie())
+                                   .ValueOrDie(),
+                              {0.5})
+                .status()
+                .code(),
+            StatusCode::kInvalidArgument);
+}
+
+TEST(CollectorSessionTest, HostilePackedPayloadsFailWithoutSideEffects) {
+  // d = 1000: 1000 output buckets at 10 bits per report.
+  const auto spec = wire::ParseMethodSpec("sw-ems", 1.0, 1000).ValueOrDie();
   auto session = serve::CollectorSession::Make(spec).ValueOrDie();
-  session.SetTenantBudget(1, {.max_reports = 1000});
-  ASSERT_TRUE(
-      session.HandleFrame(TenantReportFrame(spec, *protocol, 1, 200, 5))
-          .ok());
+  const Protocol& protocol = *session.protocol();
+  const unsigned width = IndexBitsOf(protocol);
+  ASSERT_EQ(width, 10u);
+  session.SetTenantBudget(wire::kDefaultTenant, {.max_reports = 1000});
   ASSERT_TRUE(session
                   .HandleFrame(TenantReportFrame(
-                      spec, *protocol, wire::kDefaultTenant, 100, 5))
+                      spec, protocol, wire::kDefaultTenant, 200, 5))
                   .ok());
   const AccumulatorState before = session.ExportState();
   const auto sketches_before = session.EncodeSketches().ValueOrDie();
 
-  constexpr size_t kCount = 300;
-  const std::string clean = TenantReportFrame(spec, *protocol, 1, kCount, 6);
-  const double inf = std::numeric_limits<double>::infinity();
-  for (const double bad : {std::nan(""), inf, -inf}) {
-    for (const size_t index : {size_t{0}, kCount / 2, kCount - 1}) {
-      const std::string context =
-          "value " + std::to_string(bad) + " at " + std::to_string(index);
-      const Status st =
-          session.HandleFrame(WithReport(clean, kCount, index, bad));
-      EXPECT_EQ(st.code(), StatusCode::kInvalidArgument) << context;
-      EXPECT_EQ(st.message(), "SW: non-finite report in chunk payload")
-          << context;
-      EXPECT_EQ(session.ledger()->spent_reports(1), 200u) << context;
-      ExpectSameCounts(before, session.ExportState(), context);
-      EXPECT_EQ(session.EncodeSketches().ValueOrDie(), sketches_before)
-          << context;
-    }
-  }
-  // The frame without the poisoned report still lands.
-  EXPECT_TRUE(session.HandleFrame(clean).ok());
-  EXPECT_EQ(session.ledger()->spent_reports(1), 200u + kCount);
-}
-
-// Collector sessions build their protocol from a MethodSpec, which pins
-// the continuous pipeline, so the discrete pipeline runs the steps
-// CollectorSession::AbsorbFrame runs, in its order: decode, charge the
-// tenant ledger, absorb, refund on failure.
-TEST(CollectorSessionTest, DiscreteOutOfDomainFailsAfterTheBudgetCharge) {
-  SwEstimatorOptions options;
-  options.epsilon = 1.0;
-  options.d = 32;
-  options.pipeline = SwEstimatorOptions::Pipeline::kBucketizeBeforeRandomize;
-  auto protocol = MakeSwProtocol(options).ValueOrDie();
-  const auto spec = wire::ParseMethodSpec("sw-ems", 1.0, 32).ValueOrDie();
-  const double buckets =
-      static_cast<double>(SwEstimatorOf(*protocol)->output_buckets());
-  const auto frame_of = [&](size_t reports) {
-    Rng rng(ShardSeed(31, reports));
-    auto chunk =
-        protocol->EncodePerturbBatch(TestValues(reports), rng).ValueOrDie();
-    std::string frame;
-    EXPECT_TRUE(wire::EncodeReportFrame(spec, *protocol, *chunk, &frame).ok());
+  // 301 reports fill 3010 bits: 376 bytes, 6 padding bits in the last.
+  constexpr size_t kCount = 301;
+  const std::string clean =
+      TenantReportFrame(spec, protocol, wire::kDefaultTenant, kCount, 6);
+  const size_t packed = PackedBytes(kCount, width);
+  ASSERT_EQ(packed, 377u);
+  const size_t count_at = clean.size() - packed - sizeof(uint64_t);
+  const auto with_count = [&](uint64_t count) {
+    std::string frame = clean;
+    std::string bytes;
+    ByteWriter(&bytes).PutU64(count);
+    frame.replace(count_at, bytes.size(), bytes);
     return frame;
   };
-
-  serve::TenantLedger ledger;
-  ledger.SetBudget(wire::kDefaultTenant, {.max_reports = 150});
-  auto acc = protocol->MakeAccumulator();
-  const auto handle = [&](const std::string& frame) -> Status {
-    NUMDIST_ASSIGN_OR_RETURN(
-        std::unique_ptr<ReportChunk> chunk,
-        wire::DecodeReportFrame(spec, *protocol, wire::FrameBytes(frame)));
-    NUMDIST_RETURN_NOT_OK(ledger.Charge(
-        wire::kDefaultTenant, chunk->num_reports(), spec.epsilon));
-    const Status absorbed = acc->Absorb(*chunk);
-    if (!absorbed.ok()) {
-      ledger.Refund(wire::kDefaultTenant, chunk->num_reports());
-    }
-    return absorbed;
+  struct Hostile {
+    std::string name;
+    std::string frame;
+    StatusCode code;
   };
-  ASSERT_TRUE(handle(frame_of(100)).ok());
-  const AccumulatorState before = acc->ExportState();
-
-  const std::string over_budget = frame_of(100);  // 100 + 100 > 150
-  const std::string within_budget = frame_of(40);
-  for (const double bad : {buckets, std::nextafter(0.0, -1.0), -1.0, 1e300}) {
-    for (const size_t index : {size_t{0}, size_t{20}, size_t{39}}) {
-      const std::string context =
-          "value " + std::to_string(bad) + " at " + std::to_string(index);
-      const Status over = handle(WithReport(over_budget, 100, index, bad));
-      EXPECT_EQ(over.code(), StatusCode::kFailedPrecondition)
-          << context << ": " << over.ToString();
-      const Status out = handle(WithReport(within_budget, 40, index, bad));
-      EXPECT_EQ(out.code(), StatusCode::kInvalidArgument) << context;
-      EXPECT_EQ(out.message(), "SW: report out of output domain") << context;
-      EXPECT_EQ(ledger.spent_reports(wire::kDefaultTenant), 100u) << context;
-      ExpectSameCounts(before, acc->ExportState(), context);
-    }
+  std::vector<Hostile> hostile;
+  for (const uint64_t lie : {uint64_t{kCount + 1}, uint64_t{kCount + 8},
+                             uint64_t{1} << 61, ~uint64_t{0}}) {
+    hostile.push_back({"count " + std::to_string(lie), with_count(lie),
+                       StatusCode::kOutOfRange});
   }
-  // Non-finite still fails at decode, ahead of the budget check.
-  const Status nan = handle(WithReport(over_budget, 100, 50, std::nan("")));
-  EXPECT_EQ(nan.message(), "SW: non-finite report in chunk payload");
-  EXPECT_TRUE(handle(within_budget).ok());
-  EXPECT_EQ(ledger.spent_reports(wire::kDefaultTenant), 140u);
+  // Fewer reports than bytes: the payload ends early, trailing bytes.
+  hostile.push_back(
+      {"count 300", with_count(kCount - 1), StatusCode::kInvalidArgument});
+  for (unsigned bit = 2; bit < 8; ++bit) {
+    std::string frame = clean;
+    frame.back() = static_cast<char>(frame.back() | (1 << bit));
+    hostile.push_back({"padding bit " + std::to_string(bit), frame,
+                       StatusCode::kInvalidArgument});
+  }
+  hostile.push_back({"one byte short", clean.substr(0, clean.size() - 1),
+                     StatusCode::kOutOfRange});
+  hostile.push_back({"one byte over", clean + std::string(1, '\0'),
+                     StatusCode::kInvalidArgument});
+  for (const Hostile& h : hostile) {
+    const Status st = session.HandleFrame(h.frame);
+    EXPECT_EQ(st.code(), h.code) << h.name << ": " << st.ToString();
+    if (h.name.starts_with("padding")) {
+      EXPECT_EQ(st.message(), "SW: nonzero padding bits in chunk payload");
+    }
+    EXPECT_EQ(session.ledger()->spent_reports(wire::kDefaultTenant), 200u)
+        << h.name;
+    ExpectSameCounts(before, session.ExportState(), h.name);
+    EXPECT_EQ(session.EncodeSketches().ValueOrDie(), sketches_before)
+        << h.name;
+  }
+  EXPECT_TRUE(session.HandleFrame(clean).ok());
+  EXPECT_EQ(session.num_reports(), 200u + kCount);
+}
+
+// An index at or above the bucket count fits the wire width whenever the
+// count is not a power of two. Absorb rejects it after the budget charge,
+// on either pipeline: an over-budget frame still gets the budget error.
+TEST(CollectorSessionTest, OutOfDomainIndexFailsAfterTheBudgetCharge) {
+  const auto continuous_spec =
+      wire::ParseMethodSpec("sw-ems", 1.0, 1000).ValueOrDie();
+  const auto discrete_spec =
+      wire::ParseMethodSpec("sw-ems", 1.0, 16).ValueOrDie();
+  std::vector<std::pair<wire::MethodSpec, std::shared_ptr<const Protocol>>>
+      cases = {
+          {continuous_spec,
+           wire::MakeProtocolForSpec(continuous_spec).ValueOrDie()},
+          {discrete_spec, MakeSwProtocol(DiscreteOptions(16)).ValueOrDie()}};
+  for (const auto& [spec, protocol] : cases) {
+    const uint32_t buckets =
+        static_cast<uint32_t>(SwEstimatorOf(*protocol)->output_buckets());
+    const unsigned width = IndexBitsOf(*protocol);
+    ASSERT_FALSE(std::has_single_bit(buckets)) << protocol->name();
+    // The steps CollectorSession::AbsorbFrame runs, in its order: decode,
+    // charge the tenant ledger, absorb, refund on failure. (A session
+    // built from a MethodSpec refuses discrete frames, see below.)
+    serve::TenantLedger ledger;
+    ledger.SetBudget(wire::kDefaultTenant, {.max_reports = 150});
+    auto acc = protocol->MakeAccumulator();
+    const auto handle = [&](const std::string& frame) -> Status {
+      NUMDIST_ASSIGN_OR_RETURN(
+          std::unique_ptr<ReportChunk> chunk,
+          wire::DecodeReportFrame(spec, *protocol, wire::FrameBytes(frame)));
+      NUMDIST_RETURN_NOT_OK(ledger.Charge(
+          wire::kDefaultTenant, chunk->num_reports(), spec.epsilon));
+      const Status absorbed = acc->Absorb(*chunk);
+      if (!absorbed.ok()) {
+        ledger.Refund(wire::kDefaultTenant, chunk->num_reports());
+      }
+      return absorbed;
+    };
+    const auto frame_of = [&](size_t reports) {
+      return TenantReportFrame(spec, *protocol, wire::kDefaultTenant, reports,
+                               31);
+    };
+    ASSERT_TRUE(handle(frame_of(100)).ok());
+    const AccumulatorState before = acc->ExportState();
+    const std::string over_budget = frame_of(100);  // 100 + 100 > 150
+    const std::string within_budget = frame_of(40);
+    for (const uint32_t bad : {buckets, (uint32_t{1} << width) - 1}) {
+      for (const size_t index : {size_t{0}, size_t{20}, size_t{39}}) {
+        const std::string context = protocol->name() + " index " +
+                                    std::to_string(bad) + " at " +
+                                    std::to_string(index);
+        const Status over =
+            handle(WithIndex(over_budget, 100, width, index, bad));
+        EXPECT_EQ(over.code(), StatusCode::kFailedPrecondition)
+            << context << ": " << over.ToString();
+        const Status out =
+            handle(WithIndex(within_budget, 40, width, index, bad));
+        EXPECT_EQ(out.code(), StatusCode::kInvalidArgument) << context;
+        EXPECT_EQ(out.message(), "SW: report out of output domain")
+            << context;
+        EXPECT_EQ(ledger.spent_reports(wire::kDefaultTenant), 100u)
+            << context;
+        ExpectSameCounts(before, acc->ExportState(), context);
+      }
+    }
+    // The highest in-domain index lands.
+    EXPECT_TRUE(
+        handle(WithIndex(within_budget, 40, width, 39, buckets - 1)).ok());
+    EXPECT_EQ(ledger.spent_reports(wire::kDefaultTenant), 140u);
+  }
+}
+
+// wire::MakeProtocolForSpec always builds the continuous pipeline (a
+// MethodSpec has no pipeline field), so a session built from a spec
+// refuses discrete-pipeline frames at decode and keeps no trace of them.
+TEST(CollectorSessionTest, SpecBuiltSessionsRefuseDiscretePipelineFrames) {
+  const auto spec = wire::ParseMethodSpec("sw-ems", 1.0, 16).ValueOrDie();
+  auto session = serve::CollectorSession::Make(spec).ValueOrDie();
+  auto discrete = MakeSwProtocol(DiscreteOptions(16)).ValueOrDie();
+  const std::string frame =
+      TenantReportFrame(spec, *discrete, wire::kDefaultTenant, 50, 3);
+  const Status st = session.HandleFrame(frame);
+  EXPECT_EQ(st.code(), StatusCode::kInvalidArgument) << st.ToString();
+  EXPECT_EQ(st.message(), "SW: chunk pipeline does not match this protocol");
+  EXPECT_EQ(session.num_reports(), 0u);
+  EXPECT_EQ(session.ledger()->spent_reports(wire::kDefaultTenant), 0u);
+}
+
+// Version 1 (f64 SW reports) is gone: its frames and its logs are version
+// skew, named on both sides.
+TEST(CollectorSessionTest, VersionOneFramesAndLogsAreVersionSkew) {
+  const auto spec = wire::ParseMethodSpec("sw-ems", 1.0, 32).ValueOrDie();
+  auto protocol = wire::MakeProtocolForSpec(spec).ValueOrDie();
+  auto session = serve::CollectorSession::Make(spec).ValueOrDie();
+  std::string frame =
+      TenantReportFrame(spec, *protocol, wire::kDefaultTenant, 20, 4);
+  ASSERT_EQ(frame[4], 2);
+  frame[4] = 1;  // preamble version, u16 LE at offset 4
+  const Status st = session.HandleFrame(frame);
+  EXPECT_EQ(st.code(), StatusCode::kFailedPrecondition) << st.ToString();
+  EXPECT_EQ(st.message(),
+            "wire: unsupported format version 1 (this build reads version 2)");
+  EXPECT_EQ(session.num_reports(), 0u);
+
+  const std::string path = testing::TempDir() + "serve_v1_header.wal";
+  {
+    std::string log("NDWL\x01\x00\x00\x00", serve::kWalHeaderBytes);
+    std::ofstream out(path, std::ios::binary | std::ios::trunc);
+    out.write(log.data(), static_cast<std::streamsize>(log.size()));
+  }
+  const auto replayed = serve::ReplayWal(path, serve::WalConsumer{});
+  ASSERT_FALSE(replayed.ok());
+  EXPECT_EQ(replayed.status().code(), StatusCode::kFailedPrecondition);
+  EXPECT_EQ(replayed.status().message(),
+            "wal: unsupported WAL version 1 (this build reads version 2)");
+  const auto opened = session.OpenWal(path);
+  EXPECT_EQ(opened.status().code(), StatusCode::kFailedPrecondition);
+  std::remove(path.c_str());
 }
 
 // A decoded SW chunk holds bucket indices, not the reports it was sent

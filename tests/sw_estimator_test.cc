@@ -4,9 +4,13 @@
 
 #include <algorithm>
 #include <cmath>
+#include <string>
+#include <vector>
 
 #include "common/histogram.h"
+#include "core/transition.h"
 #include "metrics/distance.h"
+#include "sw_dense_oracle.h"
 
 namespace numdist {
 namespace {
@@ -40,7 +44,7 @@ TEST(SwEstimatorTest, OutputBucketsDefaultToD) {
   opts.d = 64;
   const SwEstimator est = SwEstimator::Make(opts).ValueOrDie();
   EXPECT_EQ(est.output_buckets(), 64u);
-  EXPECT_EQ(est.transition().cols(), 64u);
+  EXPECT_EQ(est.model().cols(), 64u);
 }
 
 TEST(SwEstimatorTest, ExplicitOutputBuckets) {
@@ -182,7 +186,7 @@ TEST(SwEstimatorTest, PerturbOneDiscreteReturnsBucketIndex) {
 
 TEST(SwEstimatorTest, AnalyticModelMatchesDenseTransitionBothPipelines) {
   // Reconstruction iterates the analytic sliding-window operator; the dense
-  // matrix is kept for validation. They must be views of the same operator.
+  // matrix (the test-side oracle) must be a view of the same operator.
   for (const auto pipeline :
        {SwEstimatorOptions::Pipeline::kRandomizeBeforeBucketize,
         SwEstimatorOptions::Pipeline::kBucketizeBeforeRandomize}) {
@@ -191,19 +195,80 @@ TEST(SwEstimatorTest, AnalyticModelMatchesDenseTransitionBothPipelines) {
     opts.d = 64;
     opts.pipeline = pipeline;
     const SwEstimator est = SwEstimator::Make(opts).ValueOrDie();
-    ASSERT_EQ(est.model().rows(), est.transition().rows());
-    ASSERT_EQ(est.model().cols(), est.transition().cols());
+    const Matrix transition = DenseTransition(est);
+    ASSERT_EQ(est.model().rows(), transition.rows());
+    ASSERT_EQ(est.model().cols(), transition.cols());
     Rng rng(77);
     std::vector<double> x(est.model().cols());
     for (double& v : x) v = rng.Uniform();
     std::vector<double> fast;
     est.model().Apply(x, &fast);
-    const std::vector<double> dense = est.transition().Multiply(x);
+    const std::vector<double> dense = transition.Multiply(x);
     for (size_t j = 0; j < dense.size(); ++j) {
-      // 1e-10: the stored dense matrix has defensively renormalized columns.
+      // 1e-10: the dense oracle has defensively renormalized columns.
       EXPECT_NEAR(fast[j], dense[j], 1e-10) << "j=" << j;
     }
   }
+}
+
+// Make validates the sliding model in place of the dense matrix it used
+// to build. Wherever Make accepts, the dense matrix passes the dense
+// check, its entries lie within the sliding model's closed-form range,
+// and the model's column sums agree with the dense ones.
+TEST(SwEstimatorTest, ModelValidationAgreesWithTheDenseCheck) {
+  for (const auto pipeline :
+       {SwEstimatorOptions::Pipeline::kRandomizeBeforeBucketize,
+        SwEstimatorOptions::Pipeline::kBucketizeBeforeRandomize}) {
+    for (const double epsilon : {0.1, 1.0, 4.0, 10.0}) {
+      for (const size_t d : {size_t{2}, size_t{17}, size_t{128}}) {
+        for (const size_t d_out : {size_t{0}, size_t{2}, size_t{3 * d}}) {
+          SwEstimatorOptions opts;
+          opts.epsilon = epsilon;
+          opts.d = d;
+          opts.d_out = d_out;
+          opts.pipeline = pipeline;
+          const std::string context =
+              "eps=" + std::to_string(epsilon) + " d=" + std::to_string(d) +
+              " d_out=" + std::to_string(d_out);
+          const auto est = SwEstimator::Make(opts);
+          ASSERT_TRUE(est.ok()) << context << ": " << est.status().ToString();
+          const Matrix transition = DenseTransition(*est);
+          EXPECT_TRUE(ValidateTransitionMatrix(transition).ok()) << context;
+          // The closed-form entry range the model validates.
+          const bool discrete =
+              pipeline ==
+              SwEstimatorOptions::Pipeline::kBucketizeBeforeRandomize;
+          const double p =
+              discrete ? est->discrete_wave().p() : est->wave().p();
+          const double q =
+              discrete ? est->discrete_wave().q() : est->wave().q();
+          const double b = est->wave().b();
+          const double w_out =
+              (1.0 + 2.0 * b) / static_cast<double>(transition.rows());
+          const double lo = discrete ? q : q * w_out;
+          const double hi =
+              discrete ? p : lo + (p - q) * std::min(w_out, 2.0 * b);
+          for (size_t j = 0; j < transition.rows(); ++j) {
+            for (size_t i = 0; i < transition.cols(); ++i) {
+              EXPECT_GE(transition(j, i), lo - 1e-12) << context;
+              EXPECT_LE(transition(j, i), hi + 1e-12) << context;
+            }
+          }
+          std::vector<double> sums;
+          est->model().ApplyTranspose(
+              std::vector<double>(est->model().rows(), 1.0), &sums);
+          for (size_t i = 0; i < transition.cols(); ++i) {
+            EXPECT_NEAR(sums[i], 1.0, 1e-10) << context << " column " << i;
+          }
+        }
+      }
+    }
+  }
+  SwEstimatorOptions one_bucket;
+  one_bucket.d = 16;
+  one_bucket.d_out = 1;
+  EXPECT_EQ(SwEstimator::Make(one_bucket).status().code(),
+            StatusCode::kInvalidArgument);
 }
 
 TEST(SwEstimatorTest, AcceleratedReconstructionMatchesPlain) {

@@ -458,8 +458,9 @@ std::string TempSegDir(const std::string& name) {
   return dir;
 }
 
-// Small segments so a handful of report frames forces several rotations.
-constexpr uint64_t kTestSegmentBytes = 1024;
+// Small segments so a handful of report frames forces several rotations
+// (a 50-report frame at d = 16 packs into a record of about 70 bytes).
+constexpr uint64_t kTestSegmentBytes = 200;
 
 // Builds a segmented frame-only log and returns the live session's state.
 AccumulatorState BuildSegmentedLog(const std::string& dir,
@@ -742,7 +743,7 @@ TEST(WalTest, FrameRecordsMatchAHandBuiltLogAtEveryIsa) {
       out->push_back(static_cast<char>((v >> shift) & 0xFF));
     }
   };
-  std::string expected("NDWL\x01\x00\x00\x00", 8);
+  std::string expected("NDWL\x02\x00\x00\x00", 8);
   for (const std::string& frame : frames) {
     const std::string body = std::string(1, '\x01') + frame;
     put_u32(static_cast<uint32_t>(body.size()), &expected);

@@ -20,6 +20,7 @@
 #include <limits>
 #include <memory>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "common/bytes.h"
@@ -308,29 +309,32 @@ TEST(WireSpec, ParseMethodSpecCoversTheCliNames) {
 }
 
 // ---------------------------------------------------------------------------
-// Known-answer sketch bytes. The server bucketizes every SW report once,
-// at decode; these pin its bucket rule to fixed CRC-32Cs of the sketch
-// frames an adversarial report set aggregates into. A bucket-rule change
-// that kept encoder and decoder consistent would still fail here, where a
-// comparison against a second run of the same code could not.
+// Known-answer sketch bytes. Clients bucketize every SW report before they
+// send it (wire version 2); these pin that bucket rule to fixed per-bucket
+// counts and to fixed CRC-32Cs of the sketch frames an adversarial report
+// set aggregates into, after a trip through the client encoder, the wire
+// and the collector. A bucket-rule change that kept encoder and decoder
+// consistent would still fail here, where a comparison against a second
+// run of the same code could not. The counts are the ones version 1 (f64
+// reports, bucketized by the server) produced for the same report sets;
+// the sketch bytes differ from version 1's only in the preamble version.
 
-// A report frame carrying exactly `reports`: a same-sized chunk is
-// encoded, then its f64 payload — the frame's last bytes — is overwritten.
+// A report frame carrying exactly `reports`, through the client encoder.
 std::string FrameWithReports(const wire::MethodSpec& spec,
                              const Protocol& protocol,
                              const std::vector<double>& reports) {
-  Rng rng(1);
-  auto chunk =
-      protocol
-          .EncodePerturbBatch(std::vector<double>(reports.size(), 0.5), rng)
-          .ValueOrDie();
+  auto chunk = MakeSwReportChunk(protocol, reports).ValueOrDie();
   std::string frame;
-  EXPECT_TRUE(wire::EncodeReportFrame(spec, protocol, *chunk, &frame).ok());
-  std::string payload;
-  ByteWriter writer(&payload);
-  for (const double r : reports) writer.PutF64(r);
-  frame.replace(frame.size() - payload.size(), payload.size(), payload);
+  const Status st = wire::EncodeReportFrame(spec, protocol, *chunk, &frame);
+  EXPECT_TRUE(st.ok()) << st.ToString();
   return frame;
+}
+
+// One count per decimal digit.
+std::vector<int64_t> CountsFromDigits(std::string_view digits) {
+  std::vector<int64_t> counts;
+  for (const char c : digits) counts.push_back(c - '0');
+  return counts;
 }
 
 // Continuous reports on the edges of the bucket rule over [-b, 1+b]:
@@ -364,9 +368,29 @@ TEST(WireKnownAnswer, ContinuousSketchBytesThroughACollector) {
     double epsilon;
     uint32_t d;
     uint32_t sketch_crc;
+    std::vector<int64_t> counts;
   };
-  const Case cases[] = {{"sw-ems", 1.0, 16, 0xd6f57650u},
-                        {"sw-em", 4.0, 1000, 0x4c551610u}};
+  const Case cases[] = {
+      {"sw-ems", 1.0, 16, 0xd5ecdfa2u,
+       {6, 2, 11, 3, 4, 3, 5, 0, 4, 5, 1, 3, 3, 6, 2, 7}},
+      {"sw-em", 4.0, 1000, 0xd7c04770u,
+       CountsFromDigits(
+      "7242342333422514323342336036836033603333603432513603432513424504"
+      "4224521334324242360423342432442332532242433332532333333252350343"
+      "2523503435231333424333332433423243342342333243242334333243252342"
+      "3332532423234332432433423332532423333342332424234441244412423424"
+      "2344412434233333333424331334323334243333333324333234423334233332"
+      "4333244332334323333333324333234332334243333333324333234432334323"
+      "3324333244332334323332334324333234332334333334233324333235332334"
+      "3233333333424332334223345043234234252504505225250433433333333333"
+      "3332435135135133333513333333333333333353135135133332432433243243"
+      "2343243333333333333324333333332433333243243333513333333333333332"
+      "4333333332435135135133513513333351333333333351324333333332433333"
+      "2432433243243333333333333324333333332433333243333513513333351333"
+      "3333324333333332435135135133513513333351333234324333324333333332"
+      "4333332432433243243333513333333333333333332433333245133513513333"
+      "3513333333333333333335135135135133513513243243333513333333333333"
+      "3324324513352333342334233334233414333337")}};
   for (const Case& c : cases) {
     const auto spec =
         wire::ParseMethodSpec(c.method, c.epsilon, c.d).ValueOrDie();
@@ -380,6 +404,11 @@ TEST(WireKnownAnswer, ContinuousSketchBytesThroughACollector) {
             .HandleFrame(FrameWithReports(spec, *session.protocol(), reports))
             .ok())
         << c.method;
+    const AccumulatorState state = session.ExportState();
+    EXPECT_EQ(state.num_reports, reports.size()) << c.method;
+    ASSERT_EQ(state.tables.size(), 1u);
+    EXPECT_EQ(state.tables[0].counts, c.counts)
+        << c.method << " d=" << c.d << ": bucket counts changed";
     const std::string sketch = session.EncodeSketch().ValueOrDie();
     EXPECT_EQ(Crc32c(sketch), c.sketch_crc)
         << c.method << " d=" << c.d << ": sketch bytes changed";
@@ -388,7 +417,7 @@ TEST(WireKnownAnswer, ContinuousSketchBytesThroughACollector) {
 
 // Collector sessions build their protocol from a MethodSpec, which pins
 // the continuous pipeline, so the discrete pipeline runs the same
-// decode -> absorb -> sketch steps on the protocol directly.
+// encode -> decode -> absorb -> sketch steps on the protocol directly.
 TEST(WireKnownAnswer, DiscreteSketchBytesThroughTheDecoder) {
   SwEstimatorOptions options;
   options.epsilon = 1.0;
@@ -415,9 +444,13 @@ TEST(WireKnownAnswer, DiscreteSketchBytesThroughTheDecoder) {
   ASSERT_TRUE(decoded.ok()) << decoded.status().ToString();
   auto acc = protocol->MakeAccumulator();
   ASSERT_TRUE(acc->Absorb(**decoded).ok());
+  const std::vector<int64_t> counts = {6, 1, 0, 1, 0, 0, 0, 0, 0, 0, 0, 0,
+                                       0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 2};
+  EXPECT_EQ(acc->ExportState().tables[0].counts, counts)
+      << "bucket counts changed";
   std::string sketch;
   ASSERT_TRUE(wire::EncodeSketchFrame(spec, *acc, &sketch).ok());
-  EXPECT_EQ(Crc32c(sketch), 0xb41c8159u) << "sketch bytes changed";
+  EXPECT_EQ(Crc32c(sketch), 0x9f85dc2au) << "sketch bytes changed";
 }
 
 // ---------------------------------------------------------------------------
@@ -474,14 +507,16 @@ TEST_F(WireRejectionTest, BadMagicVersionSkewFlagsAndFrameType) {
   EXPECT_FALSE(st.ok());
   EXPECT_NE(st.message().find("magic"), std::string::npos);
 
-  frame = report_frame_;
-  frame[4] = 2;  // version low byte
-  st = DecodeReport(frame);
-  EXPECT_EQ(st.code(), StatusCode::kFailedPrecondition);
-  EXPECT_NE(st.message().find("version"), std::string::npos);
+  for (const char version : {1, 3}) {  // version low byte
+    frame = report_frame_;
+    frame[4] = version;
+    st = DecodeReport(frame);
+    EXPECT_EQ(st.code(), StatusCode::kFailedPrecondition);
+    EXPECT_NE(st.message().find("version"), std::string::npos);
+  }
 
   frame = report_frame_;
-  frame[7] = 1;  // flags must be zero in v1
+  frame[7] = 1;  // tenant flag without a tenant block
   EXPECT_FALSE(DecodeReport(frame).ok());
 
   frame = report_frame_;
@@ -617,21 +652,21 @@ TEST_F(WireRejectionTest, PoisonedHierarchyCountsAreRejected) {
   }
 }
 
-TEST_F(WireRejectionTest, NonFiniteReportsAreRejected) {
+TEST_F(WireRejectionTest, NonFiniteReportsAreRejectedAtEncode) {
   // A NaN report would sail through the continuous pipeline's clamp (NaN
-  // comparisons are all false) into a float->index cast that is UB, so
-  // the decoder must refuse it at the trust boundary. Report payload
-  // layout: preamble (8) + method block (17) + pipeline flag (1) +
-  // output buckets (4) + count (8) puts the first f64 at offset 38.
-  ASSERT_GT(report_frame_.size(), 46u);
-  std::string frame = report_frame_;
-  const uint64_t nan_bits = 0x7FF8000000000000ULL;
-  for (size_t i = 0; i < 8; ++i) {
-    frame[38 + i] = static_cast<char>((nan_bits >> (8 * i)) & 0xFF);
+  // comparisons are all false) into a float->index cast that is UB. The
+  // wire carries bucket indices, so the client encoder refuses it, and
+  // the frame buffer it was appending to is left as it was.
+  for (const double bad : {std::nan(""), HUGE_VAL, -HUGE_VAL}) {
+    auto chunk =
+        MakeSwReportChunk(*protocol_, {0.25, bad, 0.75}).ValueOrDie();
+    std::string frame = report_frame_;
+    const Status st =
+        wire::EncodeReportFrame(spec_, *protocol_, *chunk, &frame);
+    EXPECT_EQ(st.code(), StatusCode::kInvalidArgument);
+    EXPECT_NE(st.message().find("non-finite"), std::string::npos);
+    EXPECT_EQ(frame, report_frame_);
   }
-  const Status st = DecodeReport(frame);
-  EXPECT_FALSE(st.ok());
-  EXPECT_NE(st.message().find("non-finite"), std::string::npos);
 }
 
 TEST_F(WireRejectionTest, WrappingCountSumsAreRejected) {
